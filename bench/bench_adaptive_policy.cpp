@@ -2,18 +2,18 @@
 // against the fixed-window sweep on the wire-cost/wall-time plane: fixed
 // windows {1, 4, 16, 64} plus `--window auto` on the Internet2-like
 // reference campaign at rtt=2000 us under the virtual clock, jobs=1. Writes
-// BENCH_adaptive_policy.json; tools/frontier_diff gates CI on the adaptive
-// row keeping its frontier position.
+// BENCH_adaptive_policy.json; tools/frontier_diff gates CI on every row
+// against the committed file.
 //
+// Every windowed row runs the same controller and two-phase prescan
+// (follow-ups only for candidates its liveness wave proved alive); a fixed
+// window N pins the controller's window at N, `auto` lets feedback size it.
 // The fixed sweep trades wire probes for wall time monotonically: window 1
 // issues only what the walk demands but pays one round trip per probe;
-// window 64 collapses the round trips but speculates the full prescan
-// whether or not the level needs it. The adaptive controller's two-phase
-// prescan (follow-ups only for candidates its liveness wave proved alive)
-// plus feedback window sizing buys the overlap without the blanket
-// speculation, so its point should sit ON the Pareto frontier — no fixed
-// window at or below its wire cost is also at or below its wire time —
-// while dominating at least one interior fixed setting outright.
+// wider pinned windows collapse the round trips but speculate more per
+// wave. The gate: the `auto` point sits ON the Pareto frontier (no row is
+// at or below it on both axes and strictly below on one), and the subnet
+// column is identical down every row.
 //
 // Both gated axes (wire_probes, sim_wire_time_us) are read off the
 // deterministic virtual clock, so rows reproduce exactly run to run;
@@ -131,26 +131,19 @@ int main(int argc, char** argv) {
                    std::to_string(run.subnets)});
   std::printf("%s", table.render().c_str());
 
-  std::vector<std::string> dominated;
   bool dominated_by_fixed = false;
   bool subnets_diverge = false;
   for (const Run& run : runs) {
     if (run.window == 0) continue;
-    if (adaptive.dominates(run)) dominated.push_back(run.label());
     if (run.dominates(adaptive)) dominated_by_fixed = true;
     if (run.subnets != adaptive.subnets) subnets_diverge = true;
   }
 
   std::printf(
       "\nexpected: the adaptive row sits on the Pareto frontier (no fixed\n"
-      "window achieves both fewer wire probes and lower simulated wire\n"
-      "time) and dominates at least one fixed setting outright. Dominated\n"
-      "fixed windows: ");
-  if (dominated.empty()) std::printf("(none)");
-  for (std::size_t i = 0; i < dominated.size(); ++i)
-    std::printf("%s%s", i == 0 ? "" : ", ", dominated[i].c_str());
-  std::printf(". The subnet column is identical down every row — the\n"
-              "policy only moves probes in time, never the output.\n");
+      "window is at or below it on both wire probes and simulated wire\n"
+      "time), and the subnet column is identical down every row — the\n"
+      "policy only moves probes in time, never the output.\n");
 
   std::string json =
       "{\"bench\":\"adaptive_policy\",\"topology\":\"internet2\",\"targets\":" +
@@ -170,11 +163,6 @@ int main(int argc, char** argv) {
             ",\"window_resizes\":" + std::to_string(run.window_resizes) +
             ",\"subnets\":" + std::to_string(run.subnets) + "}";
   }
-  json += "],\"adaptive_dominates\":[";
-  for (std::size_t i = 0; i < dominated.size(); ++i) {
-    if (i != 0) json += ",";
-    json += "\"" + dominated[i] + "\"";
-  }
   json += "]}";
   if (std::FILE* f = std::fopen(out_path, "w")) {
     std::fputs(json.c_str(), f);
@@ -186,13 +174,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (dominated_by_fixed || dominated.empty() || subnets_diverge) {
-    std::fprintf(stderr,
-                 "FAIL: adaptive row %s\n",
+  if (dominated_by_fixed || subnets_diverge) {
+    std::fprintf(stderr, "FAIL: adaptive row %s\n",
                  subnets_diverge ? "changed the collected subnets"
-                 : dominated_by_fixed
-                     ? "is dominated by a fixed window"
-                     : "dominates no fixed window");
+                                 : "is dominated by a fixed window");
     return 1;
   }
   return 0;

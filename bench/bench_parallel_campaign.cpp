@@ -27,9 +27,8 @@ struct Run {
   int jobs = 1;
   bool stop_set = true;
   bool cache = true;  // campaign-wide shared reply cache
-  bool fast = false;  // eager stop-set skipping, hop-level included
   double wall_ms = 0.0;
-  double speedup = 1.0;  // vs jobs=1 with the same stop-set/mode setting
+  double speedup = 1.0;  // vs jobs=1 with the same sharing setting
   std::uint64_t wire_probes = 0;
   std::uint64_t sessions_run = 0;
   std::uint64_t stop_set_skips = 0;
@@ -40,7 +39,7 @@ constexpr std::uint64_t kEmulatedRttUs = 300;  // a fast continental RTT
 
 Run run_once(const topo::SimulatedInternet& internet,
              const std::vector<net::Ipv4Addr>& targets, int jobs,
-             bool stop_set, bool cache, bool fast) {
+             bool stop_set, bool cache) {
   sim::NetworkConfig net_config;
   net_config.wall_rtt_us = kEmulatedRttUs;
   sim::Network net(internet.topo, net_config);
@@ -51,7 +50,6 @@ Run run_once(const topo::SimulatedInternet& internet,
   config.jobs = jobs;
   config.share_stop_set = stop_set;
   config.share_probe_cache = cache;
-  config.deterministic = !fast;
   runtime::CampaignRuntime campaign(net, internet.vantages.front(), config);
 
   const auto start = Clock::now();
@@ -63,7 +61,6 @@ Run run_once(const topo::SimulatedInternet& internet,
   out.jobs = jobs;
   out.stop_set = stop_set;
   out.cache = cache;
-  out.fast = fast;
   out.wall_ms = elapsed.count();
   out.wire_probes = report.wire_probes;
   out.sessions_run = report.sessions_run;
@@ -100,43 +97,39 @@ int main() {
               internet.vantage_names.front().c_str(),
               static_cast<unsigned long long>(kEmulatedRttUs));
 
-  // The speedup sweep runs the default configuration (everything shared,
-  // deterministic) over jobs {1, 2, 4, 8}. The ablation rows isolate the
+  // The speedup sweep runs the default configuration (everything shared)
+  // over jobs {1, 2, 4, 8}. The ablation rows isolate the
   // wire-probe effects at jobs {1, 4}: the shared stop set's savings are
   // masked by the shared reply cache (a skipped session's probes would have
-  // been cache hits anyway), so the stop-set ablation runs cache-off; fast
-  // mode adds eager Doubletree-style hop skipping on top.
+  // been cache hits anyway), so the stop-set ablation runs cache-off.
   struct Config {
     bool stop_set;
     bool cache;
-    bool fast;
     std::vector<int> jobs;
   };
   const std::vector<Config> configs = {
-      {true, true, false, {1, 2, 4, 8}},   // default: the speedup sweep
-      {false, true, false, {1, 4}},        // no stop set (cache still on)
-      {true, false, false, {1, 4}},        // stop set alone, cache off
-      {false, false, false, {1, 4}},       // neither: the raw baseline
-      {true, true, true, {1, 4}},          // fast mode, everything shared
-      {true, false, true, {1, 4}},         // fast mode, cache off
+      {true, true, {1, 2, 4, 8}},   // default: the speedup sweep
+      {false, true, {1, 4}},        // no stop set (cache still on)
+      {true, false, {1, 4}},        // stop set alone, cache off
+      {false, false, {1, 4}},       // neither: the raw baseline
   };
 
   std::vector<Run> runs;
   for (const Config& c : configs) {
     double base = 0.0;
     for (const int jobs : c.jobs) {
-      Run run = run_once(internet, targets, jobs, c.stop_set, c.cache, c.fast);
+      Run run = run_once(internet, targets, jobs, c.stop_set, c.cache);
       if (jobs == 1) base = run.wall_ms;
       run.speedup = run.wall_ms > 0.0 ? base / run.wall_ms : 1.0;
       runs.push_back(run);
     }
   }
 
-  util::Table table({"mode", "stop set", "cache", "jobs", "wall ms", "speedup",
+  util::Table table({"stop set", "cache", "jobs", "wall ms", "speedup",
                      "wire probes", "sessions", "skips", "subnets"});
   for (const Run& run : runs)
-    table.add_row({run.fast ? "fast" : "det", run.stop_set ? "on" : "off",
-                   run.cache ? "on" : "off", std::to_string(run.jobs),
+    table.add_row({run.stop_set ? "on" : "off", run.cache ? "on" : "off",
+                   std::to_string(run.jobs),
                    ms(run.wall_ms), ratio(run.speedup),
                    std::to_string(run.wire_probes),
                    std::to_string(run.sessions_run),
@@ -144,28 +137,27 @@ int main() {
                    std::to_string(run.subnets)});
   std::printf("%s", table.render().c_str());
 
-  const Run& det_j4 = runs[2];            // default, jobs=4
-  const Run& cache_only_j1 = runs[4];     // stop off / cache on, jobs=1
-  const Run& neither_j1 = runs[8];        // stop off / cache off, jobs=1
-  const Run& neither_j4 = runs[9];        // stop off / cache off, jobs=4
-  const Run& fast_nocache_j4 = runs[13];  // fast, cache off, jobs=4
+  const Run& default_j4 = runs[2];     // default, jobs=4
+  const Run& cache_only_j1 = runs[4];  // stop off / cache on, jobs=1
+  const Run& stop_only_j4 = runs[7];   // stop on / cache off, jobs=4
+  const Run& neither_j1 = runs[8];     // stop off / cache off, jobs=1
+  const Run& neither_j4 = runs[9];     // stop off / cache off, jobs=4
   std::printf(
       "\nexpected: >1.5x wall-clock speedup at jobs=4 (workers overlap their\n"
       "RTT waits; got %.2fx). Cross-session sharing sheds wire probes two\n"
       "ways: the campaign-wide reply cache absorbs re-probes of shared path\n"
       "hops (%llu -> %llu at jobs=1), and the stop set skips covered targets\n"
-      "— and, in fast mode, covered hops — cutting the cache-off probe count\n"
-      "%llu -> %llu at jobs=4. Deterministic-mode skips are deliberately\n"
-      "conservative (only provably serial-equivalent ones), so their savings\n"
-      "sit within flakiness noise; fast mode is the probe-budget mode.\n"
+      "(cache-off wire probes at jobs=4: %llu without it, %llu with it). Its\n"
+      "skips are deliberately conservative (only provably serial-equivalent\n"
+      "ones), so their savings sit within flakiness noise.\n"
       "SprintLink is flaky and rate-limited, so subnet counts vary a little\n"
       "with the probe schedule — the byte-identical determinism contract is\n"
       "pinned by ctest on the clean topologies (campaign_runtime_test.cpp).\n",
-      det_j4.speedup,
+      default_j4.speedup,
       static_cast<unsigned long long>(neither_j1.wire_probes),
       static_cast<unsigned long long>(cache_only_j1.wire_probes),
       static_cast<unsigned long long>(neither_j4.wire_probes),
-      static_cast<unsigned long long>(fast_nocache_j4.wire_probes));
+      static_cast<unsigned long long>(stop_only_j4.wire_probes));
 
   std::string json = "{\"bench\":\"parallel_campaign\",\"isp\":\"" + isp.name +
                      "\",\"targets\":" + std::to_string(targets.size()) +
@@ -174,7 +166,6 @@ int main() {
     const Run& run = runs[i];
     if (i != 0) json += ",";
     json += "{\"jobs\":" + std::to_string(run.jobs) +
-            ",\"mode\":\"" + (run.fast ? "fast" : "det") + "\"" +
             ",\"stop_set\":" + (run.stop_set ? "true" : "false") +
             ",\"share_cache\":" + (run.cache ? "true" : "false") +
             ",\"wall_ms\":" + ms(run.wall_ms) +

@@ -42,7 +42,6 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
   std::set<net::Ipv4Addr> members{ctx.pivot};
   std::unordered_set<std::uint32_t> examined{ctx.pivot.value()};
   StopReason stop = StopReason::kPrefixFloor;
-  const int window = config_.probe_window < 1 ? 1 : config_.probe_window;
 
   trace::Recorder* rec =
       trace::on(config_.recorder, trace::Level::kSession) ? config_.recorder
@@ -72,7 +71,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
     const net::Prefix level = net::Prefix::covering(ctx.pivot, m);
     bool shrunk = false;
 
-    if (window > 1 || config_.adaptive != nullptr) {
+    if (config_.adaptive != nullptr) {
       // Prescan the whole level with overlapped waves; the serial walk below
       // then consumes the replies in address order out of the probe cache.
       std::vector<net::Ipv4Addr> candidates;
@@ -82,10 +81,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
         if (!examined.contains(candidate.value()))
           candidates.push_back(candidate);
       }
-      if (config_.adaptive != nullptr)
-        adaptive_prescan(candidates, ctx);
-      else
-        prescan(candidates, ctx);
+      adaptive_prescan(candidates, ctx);
     }
 
     for (std::uint64_t index = 0; index < level.size(); ++index) {
@@ -179,8 +175,8 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
 
   if (rec != nullptr) {
     // probes_used is deliberately absent: it counts wire probes, which vary
-    // with probe_window (prescan speculation), and the session journal is
-    // pinned byte-identical across windows.
+    // with the probe window (prescan speculation), and the session journal
+    // is pinned byte-identical across windows.
     std::string attrs;
     trace::attr_str(attrs, "prefix", out.prefix.to_string());
     trace::attr_num(attrs, "members",
@@ -192,9 +188,8 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
     rec->emit("subnet", attrs);
   }
 
-  util::log(util::LogLevel::kDebug, "explore", "pivot ",
-            ctx.pivot.to_string(), " -> ", out.to_string(), " (",
-            to_string(stop), ")");
+  util::log(util::LogLevel::kDebug, "explore", "pivot ", ctx.pivot, " -> ",
+            out, " (", to_string(stop), ")");
   return out;
 }
 
@@ -278,38 +273,6 @@ SubnetExplorer::Verdict SubnetExplorer::test_candidate(net::Ipv4Addr l,
   return Verdict::kAdd;
 }
 
-void SubnetExplorer::prescan(const std::vector<net::Ipv4Addr>& candidates,
-                             const Context& ctx) {
-  // One speculative wave per level: every probe the serial walk can charge a
-  // candidate whose heuristic chain stays inside the level — H2's <l, jh>,
-  // the shared H3/H6 probe <l, jh-1>, and the H4/H5 confidence probe
-  // <l, jh-2>. The mate probes (H7 at jh, H8 at jh-1, and the mate30
-  // fallbacks at both) resolve against the same wave through the probe
-  // cache, because a candidate's mates lie inside the level for /30 and
-  // wider. Speculation trades wire probes for waves: at RTT-bound timing a
-  // wave costs one round trip however many probes it carries, and the probe
-  // cache already deduplicates anything an earlier level paid for.
-  std::vector<net::Probe> wave;
-  wave.reserve(candidates.size() * 3);
-  auto queue = [&](net::Ipv4Addr target, int ttl) {
-    if (ttl < 1) return;
-    if (prescanned_.insert(prescan_key(target, ttl)).second) ++spec_spent_;
-    wave.push_back(make_probe(target, ttl));
-  };
-  for (const net::Ipv4Addr l : candidates) {
-    queue(l, ctx.jh);
-    queue(l, ctx.jh - 1);
-    queue(l, ctx.jh - 2);
-  }
-  const std::size_t window =
-      static_cast<std::size_t>(config_.probe_window < 1 ? 1
-                                                        : config_.probe_window);
-  for (std::size_t begin = 0; begin < wave.size(); begin += window) {
-    const std::size_t count = std::min(window, wave.size() - begin);
-    engine_.probe_batch(std::span<const net::Probe>(wave).subspan(begin, count));
-  }
-}
-
 std::vector<net::ProbeReply> SubnetExplorer::send_adaptive_wave(
     const std::vector<net::Probe>& wave) {
   probe::AdaptiveController& ctrl = *config_.adaptive;
@@ -374,7 +337,7 @@ void SubnetExplorer::adaptive_prescan(
   // Phase B: the rest of the heuristic chain's probes, but only for
   // candidates phase A proved alive — exactly the ones the walk probes past
   // jh (test_candidate skips dead candidates after H2). This is where the
-  // adaptive policy beats a fixed window: a mostly-empty level costs one
+  // two-phase prescan beats a blanket one: a mostly-empty level costs one
   // probe per candidate instead of three.
   std::vector<net::Probe> phase_b;
   for (std::size_t i = 0; i < candidates.size(); ++i) {

@@ -42,23 +42,14 @@ struct ExplorerConfig {
   bool h6_enabled = true;
   // H8 on: close-fringe detection. Ablation knob.
   bool h8_enabled = true;
-  // In-flight probe window: with a window of W each growth level is
-  // *prescanned* by overlapped waves of up to W probes — <l, jh>, <l, jh-1>
-  // and <l, jh-2> for every unexamined candidate of the level — before the
-  // unchanged serial walk consumes the replies in address order out of the
-  // probe cache. The heuristic chain therefore fires identically to
-  // window 1; a wave may merely probe candidates past a mid-level stop or at
-  // depths the walk never asks for (extra wire probes, never different
-  // subnets). Needs a caching engine above the wire to pay off; without one
-  // the prescan probes are simply re-issued. 1 (the default) is the strictly
-  // sequential historical behavior.
-  int probe_window = 1;
-  // Adaptive probing controller (probe/adaptive.h), owned by the session;
-  // nullptr = fixed-window behavior. When set, growth levels use the
-  // two-phase feedback prescan (adaptive_prescan) under the controller's
-  // window/pacing decisions and per-level speculative budget, instead of the
-  // fixed 3-probes-per-candidate prescan. The serial walk is untouched, so
-  // the collected subnets stay byte-identical to every other policy.
+  // Wave controller (probe/adaptive.h), owned by the session; nullptr = the
+  // plain serial walk. When set, every growth level is first warmed by the
+  // two-phase prescan (adaptive_prescan) under the controller's
+  // window/pacing decisions and per-level speculative budget; the serial walk
+  // then consumes the replies in address order out of the probe cache, so
+  // the heuristic chain fires identically and the collected subnets stay
+  // byte-identical to the serial walk. Needs a caching engine above the wire
+  // to pay off; without one the prescan probes are simply re-issued.
   probe::AdaptiveController* adaptive = nullptr;
   // Wire-probe ceiling for one exploration (0 = unlimited). On a lossy or
   // rate-limited network retries can multiply the probe cost of a level;
@@ -69,7 +60,7 @@ struct ExplorerConfig {
   // Journal destination for session-level exploration events (one `heur`
   // event per heuristic-chain evaluation, growth levels, H9 splits, the
   // final subnet verdict); nullptr = tracing off. Events sit on the serial
-  // walk, so they are identical across probe_window settings.
+  // walk, so they are identical with or without a wave controller.
   trace::Recorder* recorder = nullptr;
 };
 
@@ -107,12 +98,6 @@ class SubnetExplorer {
   Verdict test_candidate(net::Ipv4Addr l, Context& ctx);
   bool far_fringe_check(net::Ipv4Addr l, const Context& ctx);    // H7
   bool close_fringe_check(net::Ipv4Addr l, const Context& ctx);  // H8
-
-  // Windowed prescan of one growth level (see ExplorerConfig::probe_window):
-  // warms the probe cache with overlapped waves so the serial walk below
-  // resolves from memory instead of paying one RTT per candidate.
-  void prescan(const std::vector<net::Ipv4Addr>& candidates,
-               const Context& ctx);
 
   // Feedback prescan of one growth level (ExplorerConfig::adaptive): phase A
   // probes every candidate at jh only; phase B sends the follow-up probes

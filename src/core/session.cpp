@@ -18,12 +18,19 @@ TracenetSession::TracenetSession(probe::ProbeEngine& wire_engine,
   config_.positioning.protocol = config_.protocol;
   config_.positioning.flow_id = config_.flow_id;
   set_epoch(config_.epoch);
-  config_.trace.probe_window = config_.probe_window;
-  config_.explore.probe_window = config_.probe_window;
 
-  if (config_.adaptive.enabled) {
+  // One wave policy: "--window auto" runs the controller as configured, a
+  // fixed window N > 1 runs it clamped to exactly N, and window 1 runs none.
+  probe::AdaptivePolicy policy = config_.adaptive;
+  if (!policy.enabled && config_.probe_window > 1) {
+    policy.initial_window = config_.probe_window;
+    policy.min_window = config_.probe_window;
+    policy.max_window = config_.probe_window;
+    policy.enabled = true;
+  }
+  if (policy.enabled) {
     controller_ = std::make_unique<probe::AdaptiveController>(
-        config_.adaptive, &wire_engine_, config_.clock);
+        policy, &wire_engine_, config_.clock);
     config_.trace.adaptive = controller_.get();
     config_.explore.adaptive = controller_.get();
   }
@@ -70,18 +77,13 @@ void TracenetSession::prescan_positioning(const TracePath& path) {
   }
   std::size_t begin = 0;
   while (begin < wave.size()) {
-    const std::size_t window = static_cast<std::size_t>(
-        controller_ ? controller_->window() : config_.probe_window);
-    const std::size_t count = std::min(window, wave.size() - begin);
+    const std::size_t count = std::min(
+        static_cast<std::size_t>(controller_->window()), wave.size() - begin);
     const auto chunk = std::span<const net::Probe>(wave).subspan(begin, count);
-    if (controller_) {
-      controller_->pace();
-      const std::uint64_t mark = controller_->begin_wave();
-      const std::vector<net::ProbeReply> replies = top_->probe_batch(chunk);
-      controller_->end_wave(mark, chunk, replies);
-    } else {
-      top_->probe_batch(chunk);
-    }
+    controller_->pace();
+    const std::uint64_t mark = controller_->begin_wave();
+    const std::vector<net::ProbeReply> replies = top_->probe_batch(chunk);
+    controller_->end_wave(mark, chunk, replies);
     begin += count;
   }
 }
@@ -108,7 +110,7 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
 
   Traceroute tracer(*top_, config_.trace);
   result.path = tracer.run(destination);
-  if (config_.probe_window > 1 || controller_) prescan_positioning(result.path);
+  if (controller_) prescan_positioning(result.path);
 
   SubnetPositioner positioner(*top_, config_.positioning);
   SubnetExplorer explorer(*top_, config_.explore);
@@ -131,8 +133,6 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
           break;
         }
       }
-      if (!covered && config_.covered_externally && config_.covered_externally(v))
-        covered = true;
       if (covered) {
         if (rec != nullptr) {
           std::string attrs;
@@ -183,7 +183,7 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
   }
   util::log(util::LogLevel::kInfo, "session", "collected ",
             result.subnets.size(), " subnets toward ",
-            destination.to_string(), " with ", result.wire_probes,
+            destination, " with ", result.wire_probes,
             " wire probes");
   return result;
 }

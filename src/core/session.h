@@ -10,7 +10,6 @@
 // scattering the path (§3.8 / Paris traceroute).
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "core/exploration.h"
@@ -49,19 +48,22 @@ struct SessionConfig {
   // off under heavy fault injection so one lost probe cannot shadow an
   // address for a whole session.
   bool cache_unresponsive = true;
-  // In-flight probe window for trace collection and subnet exploration
-  // (overrides the trace/explore fields): waves of up to this many probes
-  // overlap their round trips through ProbeEngine::probe_batch, cutting a
-  // session's RTT-bound wall clock by roughly the window size while the
-  // output stays byte-identical on stable networks (docs/PROBING.md).
-  // 1 = strictly sequential probing (the historical behavior).
+  // In-flight probe window for trace collection, subnet positioning and
+  // exploration: N > 1 runs the session's adaptive controller clamped to
+  // exactly N (initial = min = max window, every other `adaptive` knob as
+  // configured), so waves of up to N probes overlap their round trips through
+  // ProbeEngine::probe_batch while the collected subnets stay byte-identical
+  // to window 1 (docs/PROBING.md). 1 = strictly sequential probing, no
+  // controller (the historical behavior). Ignored when adaptive.enabled.
   int probe_window = 1;
   // Adaptive probing policy (probe/adaptive.h, docs/PROBING.md "Adaptive
   // policy"): when adaptive.enabled, a per-session feedback controller sizes
-  // the in-flight window between waves, budgets speculative prescans per
-  // growth level, and paces against drop signals — probe_window is ignored.
-  // Decisions are schedule-invariant, so the collected subnets stay
-  // byte-identical to probe_window = 1. The CLI spells this "--window auto".
+  // the in-flight window between waves within [min_window, max_window],
+  // budgets speculative prescans per growth level, and paces against drop
+  // signals. A fixed probe_window > 1 runs the same controller with the
+  // window pinned. Decisions are schedule-invariant, so the collected subnets
+  // stay byte-identical to probe_window = 1. The CLI spells this
+  // "--window auto".
   probe::AdaptivePolicy adaptive;
   // Clock for time-elapsing machinery inside the session: retry backoff and
   // the adaptive controller's pacing. nullptr = wall clock; campaigns under
@@ -70,14 +72,6 @@ struct SessionConfig {
   // Skip positioning+exploration for a hop whose address already lies inside
   // a subnet collected earlier in this session.
   bool skip_covered_hops = true;
-  // Optional cross-session coverage oracle: when set (and skip_covered_hops
-  // is on), a hop inside a subnet some *other* session already explored is
-  // skipped too — the Doubletree-style shared stop set of the concurrent
-  // campaign runtime. Skipped subnets are absent from this session's result;
-  // the campaign merge re-unions them from whichever session grew them.
-  // Trades strict per-session completeness for probe savings, so the
-  // runtime only wires it up in non-deterministic (fast) mode.
-  std::function<bool(net::Ipv4Addr)> covered_externally;
 };
 
 class TracenetSession {
@@ -120,21 +114,21 @@ class TracenetSession {
   }
 
  private:
-  // Windowed (probe_window > 1) and adaptive modes: warms the probe cache
-  // with the first probes subnet positioning will pay for every named hop of
-  // `path` — <v, d>, <v, d-1> and <mate31(v), d> — as overlapped waves, so
-  // the serial positioning logic resolves them from memory. Under the
-  // adaptive controller the waves are controller-sized and paced.
+  // Windowed modes (a controller is present): warms the probe cache with the
+  // first probes subnet positioning will pay for every named hop of `path` —
+  // <v, d>, <v, d-1> and <mate31(v), d> — as controller-sized, paced waves,
+  // so the serial positioning logic resolves them from memory.
   void prescan_positioning(const TracePath& path);
 
   probe::ProbeEngine& wire_engine_;
   SessionConfig config_;
   std::unique_ptr<probe::RetryingProbeEngine> retry_;
   std::unique_ptr<probe::CachingProbeEngine> cache_;
-  // Adaptive feedback controller (config_.adaptive.enabled); reset at the
-  // start of every run so no decision state leaks across targets. Its
-  // cached-vs-fresh input is measured against wire_engine_ — the per-worker
-  // scope — which keeps decisions schedule-invariant under --jobs.
+  // Wave controller (adaptive, or clamped to a fixed probe_window > 1;
+  // nullptr = serial walk); reset at the start of every run so no decision
+  // state leaks across targets. Its cached-vs-fresh input is measured against
+  // wire_engine_ — the per-worker scope — which keeps decisions
+  // schedule-invariant under --jobs.
   std::unique_ptr<probe::AdaptiveController> controller_;
   probe::ProbeEngine* top_ = nullptr;  // top of the decorator stack
   trace::Recorder* recorder_ = nullptr;

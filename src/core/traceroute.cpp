@@ -11,11 +11,10 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
   TracePath path;
   path.destination = destination;
 
-  // Windowed mode: TTLs are probed in waves of `probe_window` overlapped
+  // Windowed mode: TTLs are probed in controller-sized waves of overlapped
   // probes; `wave` holds replies for TTLs wave_base+1 .. wave_base+size.
   // The consuming loop below is the single source of truth for stop logic
   // in both modes — a wave only prefetches replies it may then discard.
-  const int window = config_.probe_window < 1 ? 1 : config_.probe_window;
   probe::AdaptiveController* ctrl = config_.adaptive;
   std::vector<net::ProbeReply> wave;
   int wave_base = 0;
@@ -26,15 +25,14 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
   int anonymous_run = 0;
   for (int ttl = 1; ttl <= config_.max_ttl; ++ttl) {
     net::ProbeReply reply;
-    if (window <= 1 && ctrl == nullptr) {
+    if (ctrl == nullptr) {
       reply = engine_.indirect(destination, static_cast<std::uint8_t>(ttl),
                                config_.protocol, config_.flow_id,
                                config_.epoch);
     } else {
       if (ttl > wave_base + static_cast<int>(wave.size())) {
         wave_base = ttl - 1;
-        const int limit = ctrl != nullptr ? ctrl->window() : window;
-        const int count = std::min(limit, config_.max_ttl - wave_base);
+        const int count = std::min(ctrl->window(), config_.max_ttl - wave_base);
         std::vector<net::Probe> probes(static_cast<std::size_t>(count));
         for (int i = 0; i < count; ++i) {
           probes[static_cast<std::size_t>(i)].target = destination;
@@ -44,14 +42,10 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
           probes[static_cast<std::size_t>(i)].flow_id = config_.flow_id;
           probes[static_cast<std::size_t>(i)].epoch = config_.epoch;
         }
-        if (ctrl != nullptr) {
-          ctrl->pace();
-          const std::uint64_t mark = ctrl->begin_wave();
-          wave = engine_.probe_batch(probes);
-          ctrl->end_wave(mark, probes, wave);
-        } else {
-          wave = engine_.probe_batch(probes);
-        }
+        ctrl->pace();
+        const std::uint64_t mark = ctrl->begin_wave();
+        wave = engine_.probe_batch(probes);
+        ctrl->end_wave(mark, probes, wave);
       }
       reply = wave[static_cast<std::size_t>(ttl - wave_base - 1)];
     }
@@ -77,7 +71,7 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
     if (reply.is_none()) {
       if (++anonymous_run >= config_.anonymous_gap_limit) {
         util::log(util::LogLevel::kDebug, "traceroute",
-                  "abandoning trace to ", destination.to_string(), " after ",
+                  "abandoning trace to ", destination, " after ",
                   anonymous_run, " anonymous hops");
         stop_reason = "gap";
         break;
@@ -93,7 +87,7 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
         path.hops[n - 2].reply.responder == reply.responder &&
         path.hops[n - 3].reply.responder == reply.responder) {
       util::log(util::LogLevel::kDebug, "traceroute", "loop detected at ",
-                reply.responder.to_string());
+                reply.responder);
       stop_reason = "loop";
       break;
     }

@@ -23,23 +23,18 @@ struct TracerouteConfig {
   // Give up after this many consecutive anonymous hops (firewalled tail or
   // unreachable destination).
   int anonymous_gap_limit = 4;
-  // In-flight probe window: with a window of W the trace probes TTLs in
-  // waves of up to W through ProbeEngine::probe_batch, so a wave pays one
-  // overlapped round trip instead of W sequential ones. Replies are consumed
-  // in TTL order through the unchanged serial stop logic, so the collected
-  // path is identical to window 1 on stable networks — the wave may merely
-  // probe a few TTLs past the stopping hop (extra wire probes, never extra
-  // hops). 1 (the default) is the strictly sequential historical behavior.
-  int probe_window = 1;
-  // Adaptive probing controller (probe/adaptive.h), owned by the session;
-  // nullptr = fixed-window behavior. When set, each TTL wave is sized by the
-  // controller's current window and paced by its backoff, overriding
-  // probe_window; the serial stop logic is untouched, so the collected path
-  // is identical either way.
+  // Wave controller (probe/adaptive.h), owned by the session; nullptr = the
+  // strictly sequential historical walk. When set, TTLs are probed in waves
+  // sized by the controller's current window (paced by its backoff) through
+  // ProbeEngine::probe_batch, so a wave pays one overlapped round trip
+  // instead of one per TTL. Replies are consumed in TTL order through the
+  // unchanged serial stop logic, so the collected path is identical either
+  // way — a wave may merely probe a few TTLs past the stopping hop (extra
+  // wire probes, never extra hops).
   probe::AdaptiveController* adaptive = nullptr;
   // Journal destination for session-level hop events; nullptr = tracing off.
   // Hop events record *consumed* replies only, so they are identical across
-  // probe_window settings (a wave's discarded prefetches never appear).
+  // window settings (a wave's discarded prefetches never appear).
   trace::Recorder* recorder = nullptr;
 };
 

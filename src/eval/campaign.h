@@ -40,8 +40,8 @@ struct VantageObservations {
 // serial driver and the concurrent runtime (runtime::CampaignRuntime)
 // produce observations through the *same* code path: feed session results
 // in target order, ask covered() before each, finalize once. Sharing the
-// merge logic is what makes the parallel runtime's deterministic mode
-// byte-identical to the serial path (see docs/RUNTIME.md).
+// merge logic is what makes the parallel runtime byte-identical to the
+// serial path (see docs/RUNTIME.md).
 class CampaignAccumulator {
  public:
   CampaignAccumulator(std::string vantage_name, std::size_t targets_total);

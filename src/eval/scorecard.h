@@ -13,7 +13,7 @@
 // exactly, fault cells must stay within their declared tolerance band.
 //
 // Determinism: a cell's result is a pure function of (cell, grid config).
-// Campaigns run through the parallel runtime's deterministic mode, fault
+// Campaigns run through the parallel runtime's target-order merge, fault
 // draws are content-keyed, and the audit probes a *fresh* network (the
 // campaign network's rate-limiter clock depends on the probe schedule), so
 // the emitted JSON is byte-identical across --jobs and --window and across
@@ -97,7 +97,7 @@ struct ScorecardRunConfig {
 };
 
 // Runs one cell end to end: build the pinned reference, apply the scenario,
-// run the campaign (deterministic runtime mode), classify against ground
+// run the campaign (parallel runtime), classify against ground
 // truth on a fresh audit network carrying the same faults.
 CellResult run_cell(const ScenarioCell& cell,
                     const ScorecardRunConfig& config = {});

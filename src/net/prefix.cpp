@@ -1,5 +1,7 @@
 #include "net/prefix.h"
 
+#include <ostream>
+
 #include "util/strings.h"
 
 namespace tn::net {
@@ -17,6 +19,10 @@ std::optional<Prefix> Prefix::parse(std::string_view text) noexcept {
 
 std::string Prefix::to_string() const {
   return network_.to_string() + "/" + std::to_string(length_);
+}
+
+std::ostream& operator<<(std::ostream& os, const Prefix& prefix) {
+  return os << prefix.to_string();
 }
 
 }  // namespace tn::net

@@ -8,6 +8,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -103,6 +104,9 @@ class Prefix {
   Ipv4Addr network_{};
   int length_ = 0;
 };
+
+// Streams to_string(), so log arguments format only when a line is emitted.
+std::ostream& operator<<(std::ostream& os, const Prefix& prefix);
 
 }  // namespace tn::net
 

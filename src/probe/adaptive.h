@@ -1,11 +1,13 @@
-// AdaptiveController: per-session feedback control over windowed probing.
+// AdaptiveController: per-session feedback control over windowed probing —
+// the one wave policy of the collection path. "--window auto" runs it with
+// the window free to move; a fixed "--window N" (N > 1) runs it clamped to
+// initial = min = max = N, so the window never resizes but the two-phase
+// prescan, its budget and the pacing still apply; window 1 runs no
+// controller at all (the serial walk).
 //
-// Fixed windows buy wall time with wire probes (BENCH_async_probe: 3291 ->
-// 10134 probes from window 1 to 64) because a wide window speculates the full
-// prescan whether or not the level needs it. Donnet et al.'s "Efficient Route
-// Tracing from a Single Source" argues probing cost should react to what
-// earlier probes learned; this controller is that feedback loop for one
-// session:
+// Donnet et al.'s "Efficient Route Tracing from a Single Source" argues
+// probing cost should react to what earlier probes learned; this controller
+// is that feedback loop for one session:
 //
 //   * window sizing  — grows the in-flight window while waves fill it with
 //     probes that actually cross the wire, shrinks it when waves resolve
@@ -44,7 +46,8 @@ namespace tn::probe {
 
 struct AdaptivePolicy {
   // Master switch: SessionConfig copies this struct, so `enabled` is what
-  // "--window auto" toggles.
+  // "--window auto" toggles. With it off, SessionConfig::probe_window > 1
+  // still runs the controller, with all three window bounds pinned to it.
   bool enabled = false;
 
   // In-flight window bounds. The controller starts every session at

@@ -85,7 +85,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   }
 
   TargetQueue queue(targets);
-  SharedSubnetCache subnet_cache;
+  SharedStopSet stop_set;
   const std::size_t count = queue.size();
   std::vector<std::optional<core::SessionResult>> results(count);
   std::atomic<std::uint64_t> sessions_run{0};
@@ -125,14 +125,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
     std::optional<sim::vtime::Scheduler::WorkerGuard> vtime_guard;
     if (sched != nullptr) vtime_guard.emplace(*sched);
     probe::ForwardingProbeEngine local(*base);
-    core::SessionConfig session_config = session_template;
-    if (!config_.deterministic && config_.share_stop_set) {
-      // Fast mode: Doubletree-style hop skipping against the global set.
-      session_config.covered_externally = [&subnet_cache](net::Ipv4Addr addr) {
-        return subnet_cache.covers(addr);
-      };
-    }
-    core::TracenetSession session(local, session_config);
+    core::TracenetSession session(local, session_template);
     std::uint64_t retries_seen = 0;
 
     while (const auto claimed = queue.pop()) {
@@ -144,19 +137,13 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
       // thread-creation order.
       if (sched != nullptr)
         sim::vtime::Scheduler::set_current_ordinal(index);
-      if (skip_targets) {
-        // Deterministic mode may only take skips that hold under any worker
-        // schedule: coverage from an already-completed lower-index target
-        // (what a serial run would have merged before reaching this one).
-        const bool skip =
-            config_.deterministic
-                ? subnet_cache.stop_set().covered_by_lower(target, index)
-                : subnet_cache.covers(target);
-        if (skip) {
-          stop_set_skips.fetch_add(1, std::memory_order_relaxed);
-          skips_counter.add();
-          continue;
-        }
+      // Only skips that hold under any worker schedule: coverage from an
+      // already-completed lower-index target (what a serial run would have
+      // merged before reaching this one).
+      if (skip_targets && stop_set.covered_by_lower(target, index)) {
+        stop_set_skips.fetch_add(1, std::memory_order_relaxed);
+        skips_counter.add();
+        continue;
       }
 
       if (sink != nullptr)
@@ -178,7 +165,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
       resize_counter.add(result.window_resizes);
 
       for (const core::ObservedSubnet& subnet : result.subnets)
-        subnet_cache.insert(subnet, index);
+        stop_set.insert(subnet.prefix, index);
       results[index] = std::move(result);
       sessions_run.fetch_add(1, std::memory_order_relaxed);
       sessions_counter.add();
@@ -218,13 +205,6 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
       continue;
     }
     if (!results[index]) {
-      if (!config_.deterministic) {
-        // Fast mode trusts the stop set: the covering subnet was merged from
-        // whichever worker grew it, even if the replay's serial-order map
-        // does not show the coverage yet.
-        acc.note_covered();
-        continue;
-      }
       // The stop set skipped a target the serial order would have traced
       // (its covering subnet came from a target the replay discards).
       // Re-trace it now for serial-identical output.
@@ -267,7 +247,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   report.wire_probes = wire.probes_issued();
   report.sessions_run = sessions_run.load(std::memory_order_relaxed);
   report.stop_set_skips = stop_set_skips.load(std::memory_order_relaxed);
-  report.stop_set_prefixes = subnet_cache.stop_set().size();
+  report.stop_set_prefixes = stop_set.size();
 
   if (trace::on(campaign_rec, trace::Level::kSession)) {
     // Only replay-invariant fields: sessions_run / wire_probes are

@@ -11,20 +11,18 @@
 //       -> per-worker ForwardingProbeEngine (local probe accounting)
 //       -> per-worker TracenetSession (retry + per-session cache on top)
 //
-// while a SharedSubnetCache (Doubletree-style stop set) lets any worker
-// skip targets — and in fast mode, hops — already inside a subnet some
-// other worker grew.
+// while a SharedStopSet (Doubletree-style covered prefixes) lets any worker
+// skip targets already inside a subnet some other worker grew.
 //
-// Determinism contract (default mode): results are merged by *target
-// index*, not completion order, by replaying the serial driver's
-// skip/merge loop (eval::CampaignAccumulator) over the per-target session
-// results. A target is dispatch-skipped only when provably skippable in
-// any order (covered by a completed lower-index target); a target the
-// replay wants but the stop set skipped is re-traced serially during the
-// merge (rare). On networks whose replies are order-independent this makes
-// jobs=N output byte-identical to eval::run_campaign — wire_probes
-// excepted, which reports the real (schedule-dependent) probe cost. See
-// docs/RUNTIME.md.
+// Determinism contract: results are merged by *target index*, not
+// completion order, by replaying the serial driver's skip/merge loop
+// (eval::CampaignAccumulator) over the per-target session results. A target
+// is dispatch-skipped only when provably skippable in any order (covered by
+// a completed lower-index target); a target the replay wants but the stop
+// set skipped is re-traced serially during the merge (rare). On networks
+// whose replies are order-independent this makes jobs=N output
+// byte-identical to eval::run_campaign — wire_probes excepted, which
+// reports the real (schedule-dependent) probe cost. See docs/RUNTIME.md.
 #pragma once
 
 #include <string>
@@ -52,11 +50,6 @@ struct RuntimeConfig {
   // Cross-session sharing knobs (both on by default; the bench ablates them).
   bool share_stop_set = true;     // Doubletree-style covered-prefix skipping
   bool share_probe_cache = true;  // campaign-wide reply memoization
-
-  // Canonical serial-equivalent output (see the determinism contract above).
-  // Off = fast mode: skip eagerly on any stop-set hit, hop-level included;
-  // output remains merged in target order but is schedule-dependent.
-  bool deterministic = true;
 
   // Flight-recorder sink (docs/TRACING.md). Workers open one recorder per
   // claimed target; buffers of sessions the canonical merge rejects are

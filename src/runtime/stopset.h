@@ -1,18 +1,18 @@
-// SharedStopSet / SharedSubnetCache: cross-session redundancy elimination.
+// SharedStopSet: cross-session redundancy elimination.
 //
 // Doubletree (Donnet et al., "Efficient Route Tracing from a Single Source")
 // stops a trace when it reaches an (interface, destination) pair already
 // seen by any cooperating monitor. TraceNET's unit of discovery is the
 // subnet, so our stop set holds *covered prefixes*: once any worker has
-// grown a subnet, every other worker can skip targets (and, in fast mode,
-// hops) that fall inside it instead of re-exploring — the cross-session
-// generalization of CampaignConfig::skip_covered_targets.
+// grown a subnet, every other worker can skip targets that fall inside it
+// instead of re-exploring — the cross-session generalization of
+// CampaignConfig::skip_covered_targets.
 //
-// Both structures are sharded by the top bits of the queried address, one
-// mutex per shard, so the workers' hot covers() checks rarely collide.
-// Every entry remembers the smallest target index that produced it, which
-// is what lets the deterministic runtime skip a target only when the skip
-// is provably order-independent (see docs/RUNTIME.md).
+// The set is sharded by the top bits of the queried address, one mutex per
+// shard, so the workers' hot coverage checks rarely collide. Every entry
+// remembers the smallest target index that produced it, which is what lets
+// the runtime skip a target only when the skip is provably
+// order-independent (see docs/RUNTIME.md).
 #pragma once
 
 #include <array>
@@ -22,7 +22,6 @@
 #include <mutex>
 #include <optional>
 
-#include "core/types.h"
 #include "net/prefix.h"
 
 namespace tn::runtime {
@@ -104,64 +103,6 @@ class SharedStopSet {
     return best;
   }
 
-  friend class SharedSubnetCache;
-
-  std::array<Shard, kShards> shards_{};
-};
-
-// The stop set plus the subnets themselves: the cross-session analogue of
-// the per-campaign dedup map in eval::run_campaign. Workers insert every
-// grown subnet; lookups answer "which observed subnet covers this address"
-// for diagnostics and fast-mode reuse. Deduplication keeps the richest
-// member set per prefix, like the serial campaign does.
-class SharedSubnetCache {
- public:
-  void insert(const core::ObservedSubnet& subnet, std::size_t source_index) {
-    if (subnet.prefix.length() >= 32) return;
-    stop_set_.insert(subnet.prefix, source_index);
-    Shard& shard = shard_for(subnet.prefix.network());
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto [it, inserted] = shard.subnets.emplace(subnet.prefix, subnet);
-    if (!inserted && subnet.members.size() > it->second.members.size())
-      it->second = subnet;
-  }
-
-  std::optional<core::ObservedSubnet> lookup(net::Ipv4Addr addr) const {
-    const Shard& shard = shard_for(addr);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [prefix, subnet] : shard.subnets)
-      if (prefix.contains(addr)) return subnet;
-    return std::nullopt;
-  }
-
-  const SharedStopSet& stop_set() const noexcept { return stop_set_; }
-  SharedStopSet& stop_set() noexcept { return stop_set_; }
-
-  bool covers(net::Ipv4Addr addr) const { return stop_set_.covers(addr); }
-
-  std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.subnets.size();
-    }
-    return total;
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<net::Prefix, core::ObservedSubnet> subnets;
-  };
-
-  static constexpr std::size_t kShards = SharedStopSet::kShards;
-
-  Shard& shard_for(net::Ipv4Addr addr) { return shards_[addr.value() >> 28]; }
-  const Shard& shard_for(net::Ipv4Addr addr) const {
-    return shards_[addr.value() >> 28];
-  }
-
-  SharedStopSet stop_set_;
   std::array<Shard, kShards> shards_{};
 };
 

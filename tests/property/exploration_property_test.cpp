@@ -11,6 +11,7 @@
 //                  the silence scans of the growth levels.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "core/exploration.h"
@@ -26,8 +27,11 @@ namespace {
 net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
 net::Ipv4Addr ip(const char* text) { return *net::Ipv4Addr::parse(text); }
 
+// gtest names each case after the raw bytes of its Params, so the struct must
+// have no padding: padding bytes are whatever the stack held, and would make
+// the case names differ from one test listing to the next.
 struct Params {
-  int prefix_length;
+  std::int64_t prefix_length;
   double utilization;
   std::uint64_t seed;
 };
@@ -51,7 +55,8 @@ class ExplorationProperty : public ::testing::TestWithParam<Params> {
     link(g, r1, "10.0.1.0/30");
     link(r1, ingress_, "10.0.2.0/30");
 
-    truth_ = net::Prefix::covering(ip("192.168.0.0"), params.prefix_length);
+    truth_ = net::Prefix::covering(
+        ip("192.168.0.0"), static_cast<int>(params.prefix_length));
     const auto lan = topo_.add_subnet(truth_);
 
     // Random member subset: ingress always gets the first chosen offset.

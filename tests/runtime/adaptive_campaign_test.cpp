@@ -4,7 +4,8 @@
 // schedules and wall/virtual clocks — on a clean network AND at 20%
 // injected loss — and identical to the window=1 serial walk, because the
 // controller's inputs are all schedule-invariant and prescans only warm the
-// session probe cache.
+// session probe cache. A fixed `--window N` is the same controller clamped
+// to N, so it inherits the contract and never resizes.
 #include <cstdint>
 #include <string>
 
@@ -28,10 +29,13 @@ struct AdaptiveRun {
   std::uint64_t speculative_spent = 0;
   std::uint64_t speculative_saved = 0;
   std::uint64_t window_resizes = 0;
+  std::uint64_t waves = 0;
+  std::uint64_t occupancy_max = 0;
 };
 
+// window 0 = "--window auto"; N >= 1 = a fixed window of N.
 AdaptiveRun run_adaptive(const topo::ReferenceTopology& ref, bool lossy,
-                         int jobs, bool virtual_time) {
+                         int jobs, bool virtual_time, int window = 0) {
   sim::vtime::Scheduler scheduler;
   sim::NetworkConfig net_config;
   if (virtual_time) {
@@ -43,7 +47,10 @@ AdaptiveRun run_adaptive(const topo::ReferenceTopology& ref, bool lossy,
 
   runtime::RuntimeConfig config;
   config.jobs = jobs;
-  config.campaign.session.adaptive.enabled = true;
+  if (window == 0)
+    config.campaign.session.adaptive.enabled = true;
+  else
+    config.campaign.session.probe_window = window;
   trace::JsonlTraceWriter writer(trace::Level::kSession, false, nullptr);
   config.trace_sink = &writer;
   runtime::MetricsRegistry metrics;
@@ -55,6 +62,8 @@ AdaptiveRun run_adaptive(const topo::ReferenceTopology& ref, bool lossy,
   out.speculative_spent = metrics.counter("probe.speculative_spent").value();
   out.speculative_saved = metrics.counter("probe.speculative_saved").value();
   out.window_resizes = metrics.counter("probe.window_resizes").value();
+  out.waves = metrics.counter("probe.waves").value();
+  out.occupancy_max = metrics.histogram("probe.window_occupancy").max();
   return out;
 }
 
@@ -89,6 +98,30 @@ TEST(AdaptiveCampaign, ByteIdenticalAcrossSchedulesAndClocksCleanAndLossy) {
         EXPECT_EQ(run.journal, reference.journal);
       }
     }
+  }
+}
+
+TEST(AdaptiveCampaign, FixedWindowIsTheControllerClampedToIt) {
+  // probe_window = 16 without adaptive.enabled: the controller pinned at
+  // initial = min = max = 16. Under keyed loss its pacing is live, yet the
+  // window never moves, no wave exceeds it, and the output is the serial
+  // walk's byte for byte. Window 1 stays the plain serial walk: no waves.
+  const topo::ReferenceTopology ref = topo::internet2_like(42);
+  const std::string serial = run_window1(ref, /*lossy=*/true);
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const AdaptiveRun clamped = run_adaptive(ref, true, jobs, false, 16);
+    EXPECT_EQ(clamped.window_resizes, 0u);
+    EXPECT_GT(clamped.waves, 0u);
+    EXPECT_GT(clamped.speculative_spent, 0u);
+    EXPECT_LE(clamped.occupancy_max, 16u);
+    EXPECT_EQ(clamped.csv, serial);
+
+    const AdaptiveRun window1 = run_adaptive(ref, true, jobs, false, 1);
+    EXPECT_EQ(window1.waves, 0u);
+    EXPECT_EQ(window1.speculative_spent, 0u);
+    EXPECT_EQ(window1.csv, serial);
+    EXPECT_EQ(clamped.journal, window1.journal);
   }
 }
 

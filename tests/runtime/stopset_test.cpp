@@ -13,16 +13,6 @@ namespace {
 using test::ip;
 using test::pfx;
 
-core::ObservedSubnet subnet_of(const net::Prefix& prefix, int members) {
-  core::ObservedSubnet subnet;
-  subnet.prefix = prefix;
-  subnet.pivot = prefix.at(1 % prefix.size());
-  for (int i = 0; i < members && static_cast<std::uint64_t>(i) < prefix.size();
-       ++i)
-    subnet.members.push_back(prefix.at(static_cast<std::uint64_t>(i)));
-  return subnet;
-}
-
 TEST(SharedStopSet, CoversInsertedPrefixes) {
   SharedStopSet set;
   EXPECT_FALSE(set.covers(ip("10.0.1.5")));
@@ -61,24 +51,12 @@ TEST(SharedStopSet, PrefixesInDifferentShardsCoexist) {
   EXPECT_TRUE(set.covers(ip("224.1.2.1")));
 }
 
-TEST(SharedSubnetCache, KeepsRichestMemberSetPerPrefix) {
-  SharedSubnetCache cache;
-  cache.insert(subnet_of(pfx("10.0.1.0/28"), 2), 5);
-  cache.insert(subnet_of(pfx("10.0.1.0/28"), 6), 9);
-  cache.insert(subnet_of(pfx("10.0.1.0/28"), 4), 1);
-  EXPECT_EQ(cache.size(), 1u);
-  const auto hit = cache.lookup(ip("10.0.1.9"));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->members.size(), 6u);
-  // The stop set remembers the smallest source index across inserts.
-  EXPECT_TRUE(cache.stop_set().covered_by_lower(ip("10.0.1.9"), 2));
-}
-
-// The hammer: many threads inserting overlapping subnets and querying
+// The hammer: many threads inserting overlapping prefixes and querying
 // concurrently. Run under TSan via tools/check.sh; asserts catch lost or
-// duplicated inserts, the sanitizer catches races.
-TEST(SharedSubnetCache, HammerConcurrentInsertAndLookup) {
-  SharedSubnetCache cache;
+// duplicated inserts and a lost minimum source index, the sanitizer catches
+// races.
+TEST(SharedStopSet, HammerConcurrentInsertAndCoveredByLower) {
+  SharedStopSet set;
   constexpr int kThreads = 8;
   constexpr std::uint32_t kPrefixes = 400;  // distinct /28s across shards
 
@@ -91,29 +69,29 @@ TEST(SharedSubnetCache, HammerConcurrentInsertAndLookup) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       for (std::uint32_t i = 0; i < kPrefixes; ++i) {
-        const net::Prefix prefix = prefix_at(i);
-        cache.insert(subnet_of(prefix, 1 + ((t + static_cast<int>(i)) % 8)),
-                     static_cast<std::size_t>(t));
-        // Interleave reads on prefixes other threads are writing.
-        const net::Prefix other = prefix_at((i * 31 + 7) % kPrefixes);
-        if (cache.covers(other.at(1))) {
-          EXPECT_TRUE(cache.lookup(other.at(1)).has_value());
+        // Threads insert each prefix in a rotated order of source indices,
+        // so the minimum arrives at a different point for every prefix.
+        set.insert(prefix_at(i),
+                   static_cast<std::size_t>((t + i) % kThreads));
+        // Interleave reads on prefixes other threads are writing: once a
+        // prefix is covered at all, index kThreads is above every source.
+        const net::Ipv4Addr other = prefix_at((i * 31 + 7) % kPrefixes).at(1);
+        if (set.covers(other)) {
+          EXPECT_TRUE(set.covered_by_lower(other, kThreads));
         }
-        cache.stop_set().covered_by_lower(other.at(1), i);
+        set.covered_by_lower(other, i);
       }
     });
   }
   for (auto& thread : pool) thread.join();
 
-  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kPrefixes));
-  EXPECT_EQ(cache.stop_set().size(), static_cast<std::size_t>(kPrefixes));
+  EXPECT_EQ(set.size(), static_cast<std::size_t>(kPrefixes));
   for (std::uint32_t i = 0; i < kPrefixes; ++i) {
-    const net::Prefix prefix = prefix_at(i);
-    ASSERT_TRUE(cache.covers(prefix.at(1)));
-    // Every prefix saw an insert from thread 0: min source index is 0.
-    EXPECT_TRUE(cache.stop_set().covered_by_lower(prefix.at(1), 1));
-    // The survivor is the richest insert: 8 members (some thread hit 8).
-    EXPECT_EQ(cache.lookup(prefix.at(1))->members.size(), 8u);
+    const net::Ipv4Addr inside = prefix_at(i).at(1);
+    ASSERT_TRUE(set.covers(inside));
+    // Some thread inserted every prefix with source 0: the minimum survived.
+    EXPECT_TRUE(set.covered_by_lower(inside, 1));
+    EXPECT_FALSE(set.covered_by_lower(inside, 0));
   }
 }
 

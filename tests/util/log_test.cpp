@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/prefix.h"
+
 namespace tn::util {
 namespace {
 
@@ -43,12 +45,25 @@ std::ostream& operator<<(std::ostream& os, const FormatProbe& probe) {
   return os;
 }
 
+// Library call sites pass addresses and prefixes as parts (their
+// operator<<), not pre-built to_string() results, so a disabled level costs
+// no formatting at all; an enabled one prints what to_string() would.
 TEST_F(LogTest, LazyFormattingDoesNotRunWhenDisabled) {
+  const net::Prefix prefix =
+      net::Prefix::covering(net::Ipv4Addr(10, 1, 2, 3), 30);
   set_log_level(LogLevel::kError);
   int evaluations = 0;
-  log(LogLevel::kDebug, "test", FormatProbe{&evaluations});
+  testing::internal::CaptureStderr();
+  log(LogLevel::kDebug, "test", prefix.network(), " in ", prefix,
+      FormatProbe{&evaluations});
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   EXPECT_EQ(evaluations, 0);
-  log(LogLevel::kError, "test", FormatProbe{&evaluations});
+
+  testing::internal::CaptureStderr();
+  log(LogLevel::kError, "test", prefix.network(), " in ", prefix,
+      FormatProbe{&evaluations});
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[ERROR] test: 10.1.2.0 in 10.1.2.0/30\n");
   EXPECT_EQ(evaluations, 1);
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate: the full test suite once normally, then the concurrent
-# runtime tests again under ThreadSanitizer (-DTN_SANITIZE=thread).
-# Run from anywhere; builds into build/ and build-tsan/ at the repo root.
+# runtime tests again under ThreadSanitizer (-DTN_SANITIZE=thread), then the
+# full suite under AddressSanitizer + UBSan (-DTN_SANITIZE=address,undefined).
+# Run from anywhere; builds into build/, build-tsan/ and build-asan/ at the
+# repo root.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -16,6 +18,11 @@ echo "== tsan: runtime tests under ThreadSanitizer =="
 cmake -B "$repo/build-tsan" -S "$repo" -DTN_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R 'Metrics|Pacer|SharedStopSet|SharedSubnetCache|CampaignRuntime|BatchProbing'
+  -R 'Metrics|Pacer|SharedStopSet|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler'
+
+echo "== asan+ubsan: full suite under AddressSanitizer + UBSan =="
+cmake -B "$repo/build-asan" -S "$repo" -DTN_SANITIZE=address,undefined
+cmake --build "$repo/build-asan" -j "$jobs"
+ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
 echo "== all checks passed =="

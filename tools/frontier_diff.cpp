@@ -3,15 +3,14 @@
 //   frontier_diff OLD.json NEW.json
 //
 // Compares NEW (a freshly regenerated BENCH_adaptive_policy.json) against
-// OLD (the committed baseline) and exits nonzero when the adaptive policy
-// lost ground on the wire-cost/wall-time plane:
+// OLD (the committed baseline) and exits nonzero when the wave policy lost
+// ground on the wire-cost/wall-time plane:
 //
 //   - a window row present in OLD but missing from NEW (sweep shrank),
-//   - the adaptive row no longer dominating a fixed window it dominated in
-//     OLD (wire probes and simulated wire time both at or below the fixed
-//     row's, allowing kBand relative slack on each axis),
-//   - the adaptive row becoming dominated outright: some fixed row beats it
-//     on BOTH axes by more than kBand,
+//   - any row, fixed or adaptive, worse than its OLD row on either axis
+//     (wire probes, simulated wire time) by more than kBand,
+//   - the adaptive row becoming dominated: some fixed row at or below it on
+//     both axes and better than it by more than kBand on one,
 //   - the subnet count diverging between any two rows of NEW (the policy
 //     must never change the collected output).
 //
@@ -39,7 +38,6 @@ struct Row {
 
 struct Bench {
   std::vector<Row> rows;
-  std::vector<std::string> adaptive_dominates;
 
   const Row* find(const std::string& window) const {
     for (const Row& row : rows)
@@ -84,19 +82,6 @@ Bench parse(const std::string& text) {
     out.rows.push_back(row);
     cursor = name_end;
   }
-  const std::size_t dom_at = text.find("\"adaptive_dominates\":[");
-  if (dom_at == std::string::npos)
-    throw std::runtime_error("missing adaptive_dominates");
-  std::size_t entry = dom_at + 22;
-  while (entry < text.size() && text[entry] != ']') {
-    if (text[entry] == '"') {
-      const std::size_t end = text.find('"', entry + 1);
-      out.adaptive_dominates.push_back(text.substr(entry + 1, end - entry - 1));
-      entry = end + 1;
-    } else {
-      ++entry;
-    }
-  }
   return out;
 }
 
@@ -136,31 +121,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  for (const Row& old_row : before.rows)
-    if (after.find(old_row.window) == nullptr)
+  // Every committed row must still be there and no worse on either axis.
+  for (const Row& old_row : before.rows) {
+    const Row* row = after.find(old_row.window);
+    if (row == nullptr) {
       complain("window %s row missing from %s", old_row.window.c_str(),
                argv[2]);
-
-  // The adaptive row must keep dominating every fixed window it dominated
-  // at commit time.
-  for (const std::string& window : before.adaptive_dominates) {
-    const Row* fixed = after.find(window);
-    if (fixed == nullptr) continue;  // already complained above
-    if (!at_most(adaptive->wire_probes, fixed->wire_probes) ||
-        !at_most(adaptive->sim_wire_time_us, fixed->sim_wire_time_us))
+      continue;
+    }
+    if (!at_most(row->wire_probes, old_row.wire_probes) ||
+        !at_most(row->sim_wire_time_us, old_row.sim_wire_time_us))
       complain(
-          "adaptive no longer dominates window %s "
-          "(probes %.0f vs %.0f, wire us %.0f vs %.0f)",
-          window.c_str(), adaptive->wire_probes, fixed->wire_probes,
-          adaptive->sim_wire_time_us, fixed->sim_wire_time_us);
+          "window %s regressed (probes %.0f vs %.0f committed, "
+          "wire us %.0f vs %.0f committed)",
+          row->window.c_str(), row->wire_probes, old_row.wire_probes,
+          row->sim_wire_time_us, old_row.sim_wire_time_us);
   }
 
-  // ...and must not fall off the frontier: no fixed row may now beat it on
-  // both axes.
+  // The adaptive row must stay on the frontier: no fixed row may be at or
+  // below it on both axes while clearly better on one.
   for (const Row& row : after.rows) {
     if (row.window == "auto") continue;
-    if (beats(row.wire_probes, adaptive->wire_probes) &&
-        beats(row.sim_wire_time_us, adaptive->sim_wire_time_us))
+    if (row.wire_probes <= adaptive->wire_probes &&
+        row.sim_wire_time_us <= adaptive->sim_wire_time_us &&
+        (beats(row.wire_probes, adaptive->wire_probes) ||
+         beats(row.sim_wire_time_us, adaptive->sim_wire_time_us)))
       complain(
           "adaptive dominated by window %s "
           "(probes %.0f vs %.0f, wire us %.0f vs %.0f)",
@@ -176,10 +161,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "frontier_diff: %d regression(s)\n", regressions);
     return 1;
   }
-  std::printf("frontier_diff: OK (%zu rows, adaptive dominates:",
+  std::printf("frontier_diff: OK (%zu rows, adaptive undominated, no row "
+              "regressed)\n",
               after.rows.size());
-  for (const std::string& window : before.adaptive_dominates)
-    std::printf(" %s", window.c_str());
-  std::printf(")\n");
   return 0;
 }

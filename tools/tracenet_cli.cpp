@@ -16,16 +16,14 @@
 //   --jobs N            concurrent campaign runtime with N workers
 //                       (simulated single-path mode; campaign semantics:
 //                       targets covered by an observed subnet are skipped)
-//   --fast              with --jobs: eager stop-set skipping, hop-level
-//                       included; trades the determinism contract for probes
-//   --window N|auto     in-flight probe window: waves of up to N probes
-//                       overlap their round trips within each session
-//                       (1 = sequential probing; see docs/PROBING.md).
-//                       "auto" enables the adaptive policy: a per-session
-//                       feedback controller sizes the window, budgets
-//                       speculative prescans and paces against drop
-//                       signals, with output byte-identical to --window 1
-//                       (docs/PROBING.md "Adaptive policy")
+//   --window N|auto     in-flight probe window: waves overlap their round
+//                       trips within each session, with output
+//                       byte-identical to --window 1 (sequential probing).
+//                       Waves are run by a per-session feedback controller
+//                       that budgets speculative prescans and paces against
+//                       drop signals; N pins its window to N, "auto" lets
+//                       it size the window itself (docs/PROBING.md
+//                       "Adaptive policy")
 //   --rtt-us N          emulated round-trip time per wire probe on the
 //                       simulator (NetworkConfig::wall_rtt_us), so campaign
 //                       runs and --metrics reflect RTT-bound profiles
@@ -92,7 +90,7 @@ int usage(const char* error) {
                "                    [--targets FILE] [--vantage NAME] "
                "[--protocol icmp|udp|tcp]\n"
                "                    [--max-ttl N] [--retries N] [--multipath]\n"
-               "                    [--jobs N] [--fast] [--window N|auto] "
+               "                    [--jobs N] [--window N|auto] "
                "[--rtt-us N] [--pps N]\n"
                "                    [--virtual-time] [--link-delay-us N] "
                "[--jitter-us N]\n"
@@ -192,7 +190,7 @@ std::optional<SimWorld> make_world(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Args args({"live", "multipath", "verbose", "fast", "trace-times",
+  util::Args args({"live", "multipath", "verbose", "trace-times",
                    "virtual-time", "trace-vtime"},
                   {"demo", "topology", "targets", "vantage", "protocol",
                    "max-ttl", "retries", "csv", "dot", "jobs", "pps",
@@ -278,11 +276,11 @@ int main(int argc, char** argv) {
   if (!metrics_format.empty() && metrics_format != "text" &&
       metrics_format != "json")
     return usage("bad --metrics (want text or json)");
-  // --jobs / --metrics / --fast engage the concurrent campaign runtime,
-  // which needs the simulated single-path pipeline.
-  const bool use_runtime = jobs > 0 || !metrics_format.empty() || args.flag("fast");
+  // --jobs / --metrics engage the concurrent campaign runtime, which needs
+  // the simulated single-path pipeline.
+  const bool use_runtime = jobs > 0 || !metrics_format.empty();
   if (use_runtime && (args.flag("live") || args.flag("multipath")))
-    return usage("--jobs/--metrics/--fast need simulated single-path mode");
+    return usage("--jobs/--metrics need simulated single-path mode");
 
   // Targets: positional + --targets file.
   std::vector<net::Ipv4Addr> targets;
@@ -385,7 +383,6 @@ int main(int argc, char** argv) {
     config.campaign.session.adaptive.enabled = adaptive_window;
     config.jobs = static_cast<int>(jobs == 0 ? 1 : jobs);
     config.pps = static_cast<double>(pps);
-    config.deterministic = !args.flag("fast");
     if (tracer) config.trace_sink = &*tracer;
     runtime::MetricsRegistry registry;
     runtime::CampaignRuntime rt(*network, world->vantage, config, &registry);
