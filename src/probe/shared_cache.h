@@ -34,6 +34,11 @@ class SharedCachingProbeEngine final : public ProbeEngine {
   std::uint64_t misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
   }
+  // Misses whose reply another worker published first: two workers missed
+  // the same key at once and both sent the probe (see do_probe).
+  std::uint64_t raced_misses() const noexcept {
+    return raced_misses_.load(std::memory_order_relaxed);
+  }
 
   // Whether silence (kNone) is published to the shared table. Under fault
   // injection one worker's lost probe must not poison the address for every
@@ -56,6 +61,7 @@ class SharedCachingProbeEngine final : public ProbeEngine {
     }
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
+    raced_misses_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -103,14 +109,19 @@ class SharedCachingProbeEngine final : public ProbeEngine {
     // mutex) and holding a shard hostage meanwhile would serialize every
     // worker hashing into it. Two workers racing on one key probe twice and
     // agree on whichever reply lands last — identical on stable networks.
+    // The second publish counts the race (raced_misses).
     misses_.fetch_add(1, std::memory_order_relaxed);
     const net::ProbeReply reply = inner_.probe(request);
     if (cache_unresponsive_.load(std::memory_order_relaxed) ||
-        !reply.is_none()) {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.replies.insert_or_assign(key, reply);
-    }
+        !reply.is_none())
+      publish(shard, key, reply);
     return reply;
+  }
+
+  void publish(Shard& shard, const Key& key, const net::ProbeReply& reply) {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!shard.replies.insert_or_assign(key, reply).second)
+      raced_misses_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Batch partition: hits resolve from the shards (one short lock per
@@ -160,9 +171,7 @@ class SharedCachingProbeEngine final : public ProbeEngine {
         replies[miss_request[j]] = fresh[j];
         if (!keep_none && fresh[j].is_none()) continue;
         const Key key = key_of(misses[j]);
-        Shard& shard = shards_[KeyHash{}(key) % kShards];
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.replies.insert_or_assign(key, fresh[j]);
+        publish(shards_[KeyHash{}(key) % kShards], key, fresh[j]);
       }
       for (const auto& [request_index, miss_index] : duplicates)
         replies[request_index] = fresh[miss_index];
@@ -174,6 +183,7 @@ class SharedCachingProbeEngine final : public ProbeEngine {
   std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> raced_misses_{0};
   std::atomic<bool> cache_unresponsive_{true};
 };
 

@@ -264,6 +264,8 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   if (shared_cache) {
     m.counter("probe.shared_cache.hits").add(shared_cache->hits());
     m.counter("probe.shared_cache.misses").add(shared_cache->misses());
+    m.counter("probe.shared_cache.raced_misses")
+        .add(shared_cache->raced_misses());
   }
   m.counter("pacer.throttle_waits").add(pacer.throttle_waits());
 

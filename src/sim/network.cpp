@@ -204,10 +204,11 @@ net::ProbeReply Network::arp_fail(NodeId node_id, const net::Probe& probe,
 }
 
 std::optional<RoutingTable::NextHop> Network::pick_next_hop(
-    NodeId node_id, const net::Probe& probe, SubnetId target_subnet) {
-  const auto hops = routing_.next_hops(node_id, target_subnet);
-  if (hops.empty()) return std::nullopt;
-  if (hops.size() == 1) return hops.front();
+    NodeId node_id, const net::Probe& probe,
+    const RoutingTable::Routes& routes) {
+  const std::size_t n = routing_.next_hop_count(node_id, routes);
+  if (n == 0) return std::nullopt;
+  if (n == 1) return routing_.next_hop_at(node_id, routes, 0);
 
   if (topology_.per_packet_load_balancing(node_id)) {
     std::uint32_t turn;
@@ -215,14 +216,14 @@ std::optional<RoutingTable::NextHop> Network::pick_next_hop(
       const std::lock_guard<std::mutex> lock(round_robin_mutex_);
       turn = round_robin_[node_id]++;
     }
-    return hops[turn % hops.size()];
+    return routing_.next_hop_at(node_id, routes, turn % n);
   }
   // Per-flow: a stable hash of (this router, flow selector, flow id,
   // protocol). With kPerDestSubnet the selector is the destination prefix, so
   // all addresses of one subnet share an ingress (§3.2(ii)).
   const std::uint64_t selector =
       config_.ecmp_hash == EcmpHashMode::kPerDestSubnet
-          ? static_cast<std::uint64_t>(target_subnet)
+          ? static_cast<std::uint64_t>(routes.target)
           : static_cast<std::uint64_t>(probe.target.value());
   std::uint64_t h =
       mix((static_cast<std::uint64_t>(node_id) << 40) ^ (selector << 8) ^
@@ -238,7 +239,7 @@ std::optional<RoutingTable::NextHop> Network::pick_next_hop(
             (static_cast<std::uint64_t>(probe.epoch) << 57));
     fault_churned_picks_.fetch_add(1, std::memory_order_relaxed);
   }
-  return hops[h % hops.size()];
+  return routing_.next_hop_at(node_id, routes, h % n);
 }
 
 std::uint64_t Network::probe_delay_us(const net::Probe& probe,
@@ -381,9 +382,14 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
   int router_depth = 0;
   NodeId current = origin;
   InterfaceId incoming = kInvalidId;
+  // Resolved on the first forwarding decision and held for the whole walk.
+  RoutingTable::RoutesHandle routes;
 
   for (int step = 0; step < config_.max_hops; ++step) {
-    if (step_hook_) step_hook_(current, probe);
+    if (step_hook_) {
+      step_hook_(current, probe);
+      routes.reset();  // the hook may have changed the topology
+    }
 
     // Node-override forward faults are charged where the packet actually
     // travels: entering an overridden node may black-hole or drop it.
@@ -442,7 +448,8 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
       continue;
     }
 
-    const auto hop = pick_next_hop(current, probe, *target_subnet);
+    if (!routes) routes = routing_.routes_for(*target_subnet);
+    const auto hop = pick_next_hop(current, probe, *routes);
     if (!hop) return count(net::ProbeReply::none());  // unreachable
     current = hop->node;
     incoming = hop->ingress;

@@ -108,13 +108,17 @@ struct NetworkStats {
 
 class Network {
  public:
-  // The routing cache is sized to the whole topology so concurrent walks
-  // can hold references to distance vectors without eviction races (see
-  // RoutingTable::distances_for).
+  // The route cache holds every subnet's table (at least 128) by default.
+  // Walks hold shared route handles, so any `route_cache_capacity` >= 1 is
+  // safe under concurrent send_probe callers; a smaller cache only trades
+  // CPU (recomputed BFS) for memory.
   explicit Network(const Topology& topology, NetworkConfig config = {})
+      : Network(topology, config,
+                std::max<std::size_t>(128, topology.subnet_count())) {}
+  Network(const Topology& topology, NetworkConfig config,
+          std::size_t route_cache_capacity)
       : topology_(topology),
-        routing_(topology,
-                 std::max<std::size_t>(128, topology.subnet_count())),
+        routing_(topology, route_cache_capacity),
         config_(config) {}
 
   // Injects `probe` from `origin` (a host or router in the topology) and
@@ -262,9 +266,8 @@ class Network {
   net::ProbeReply finish_reply(NodeId node, net::ProbeReply reply,
                                const ProbeSlot& slot);
 
-  std::optional<RoutingTable::NextHop> pick_next_hop(NodeId node,
-                                                     const net::Probe& probe,
-                                                     SubnetId target_subnet);
+  std::optional<RoutingTable::NextHop> pick_next_hop(
+      NodeId node, const net::Probe& probe, const RoutingTable::Routes& routes);
 
   net::ProbeReply count(net::ProbeReply reply);
 

@@ -1,62 +1,149 @@
 #include "sim/routing.h"
 
-#include <deque>
+#include <algorithm>
+#include <span>
 
 namespace tn::sim {
 
-int RoutingTable::distance(NodeId from, SubnetId target) const {
-  return resolved_distance(from, routes_for(target));
+namespace {
+constexpr std::uint8_t kNoRoute = 0xFF;
+
+int decode(std::uint8_t hops) noexcept {
+  return hops == kNoRoute ? RoutingTable::kUnreachable : hops;
 }
 
-int RoutingTable::resolved_distance(NodeId from, const Routes& routes) const {
-  const int d = routes.dist.at(from);
-  if (d != kUnreachable || !topology_.node(from).is_host) return d;
-  // Off-target host: its distance is what the BFS would have assigned when
-  // one of its LANs was first relaxed. LAN relaxations happen in
-  // nondecreasing distance order, so the minimum over its LANs is exactly
-  // the first-touch value of the full-graph BFS.
-  int best = kUnreachable;
-  for (const InterfaceId iface : topology_.node(from).interfaces) {
-    const int via = routes.lan_dist[topology_.interface(iface).subnet];
-    if (via != kUnreachable && (best == kUnreachable || via < best))
-      best = via;
+// Compressed sparse rows: row r is values[offsets[r], offsets[r+1]).
+template <class T>
+struct Csr {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<T> values;
+
+  void end_row() { offsets.push_back(static_cast<std::uint32_t>(values.size())); }
+  std::span<const T> operator[](std::size_t row) const {
+    return {values.data() + offsets[row], values.data() + offsets[row + 1]};
   }
-  return best;
+};
+}  // namespace
+
+struct RoutingTable::RouterIndex {
+  static constexpr std::uint32_t kHost = ~0U;
+
+  // One relay interface of a LAN; `router` is kHost for a multi-homed host.
+  struct Relay {
+    InterfaceId iface;
+    NodeId node;
+    std::uint32_t router;
+  };
+
+  std::vector<std::uint32_t> router_of_node;  // by NodeId; kHost for hosts
+  std::size_t routers = 0;
+  Csr<SubnetId> router_lans;      // router index -> its LANs
+  Csr<std::uint32_t> lan_routers;  // SubnetId -> router indices on it
+  Csr<Relay> lan_relays;           // SubnetId -> relay interfaces
+};
+
+std::shared_ptr<const RoutingTable::RouterIndex> RoutingTable::build_index()
+    const {
+  auto index = std::make_shared<RouterIndex>();
+  index->router_of_node.assign(topology_.node_count(), RouterIndex::kHost);
+  for (NodeId id = 0; id < topology_.node_count(); ++id) {
+    const Node& node = topology_.node(id);
+    if (node.is_host) continue;
+    index->router_of_node[id] = static_cast<std::uint32_t>(index->routers++);
+    for (const InterfaceId iface : node.interfaces)
+      index->router_lans.values.push_back(topology_.interface(iface).subnet);
+    index->router_lans.end_row();
+  }
+  for (SubnetId lan = 0; lan < topology_.subnet_count(); ++lan) {
+    for (const InterfaceId iface : topology_.subnet(lan).interfaces) {
+      const NodeId node = topology_.interface(iface).node;
+      const std::uint32_t router = index->router_of_node[node];
+      if (router != RouterIndex::kHost)
+        index->lan_routers.values.push_back(router);
+      else if (topology_.node(node).interfaces.size() < 2)
+        continue;  // single-homed host: never a next hop
+      index->lan_relays.values.push_back({iface, node, router});
+    }
+    index->lan_routers.end_row();
+    index->lan_relays.end_row();
+  }
+  return index;
+}
+
+int RoutingTable::distance(NodeId from, SubnetId target) const {
+  return distance(from, *routes_for(target));
+}
+
+int RoutingTable::distance(NodeId from, const Routes& routes) const {
+  const std::uint32_t router = routes.index->router_of_node[from];
+  if (router != RouterIndex::kHost) return decode(routes.router_dist[router]);
+  // A host: 0 when attached to the target, else what the BFS would have
+  // assigned when one of its LANs was first relaxed. LAN relaxations happen
+  // in nondecreasing distance order, so the minimum over its LANs is exactly
+  // the first-touch value of the full-graph BFS.
+  std::uint8_t best = kNoRoute;
+  for (const InterfaceId iface : topology_.node(from).interfaces) {
+    const SubnetId lan = topology_.interface(iface).subnet;
+    if (lan == routes.target) return 0;
+    best = std::min(best, routes.lan_dist[lan]);
+  }
+  return decode(best);
+}
+
+template <class Visit>
+void RoutingTable::visit_next_hops(NodeId from, const Routes& routes,
+                                   Visit&& visit) const {
+  const int d = distance(from, routes);
+  if (d <= 0) return;  // attached (local delivery) or unreachable
+  const RouterIndex& index = *routes.index;
+  for (const InterfaceId egress : topology_.node(from).interfaces) {
+    // Delivery hop (d == 1): peers at distance 0 qualify, and those include
+    // multi-homed hosts attached to the target. Transit hop: hosts never
+    // forward, so only router peers at d-1 can carry the path. The relay
+    // list keeps the LAN's interface-insertion order either way, keeping
+    // ECMP fan-out order identical to the full-graph BFS.
+    for (const RouterIndex::Relay& peer :
+         index.lan_relays[topology_.interface(egress).subnet]) {
+      if (peer.iface == egress) continue;
+      const bool closer =
+          peer.router != RouterIndex::kHost
+              ? routes.router_dist[peer.router] == d - 1
+              : d == 1 && topology_.interface_on(peer.node, routes.target);
+      if (closer && !visit(NextHop{peer.node, egress, peer.iface})) return;
+    }
+  }
 }
 
 std::vector<RoutingTable::NextHop> RoutingTable::next_hops(
     NodeId from, SubnetId target) const {
-  const Routes& routes = routes_for(target);
   std::vector<NextHop> out;
-  const int d = resolved_distance(from, routes);
-  if (d <= 0) return out;  // attached (local delivery) or unreachable
-
-  for (const InterfaceId egress : topology_.node(from).interfaces) {
-    const SubnetId lan_id = topology_.interface(egress).subnet;
-    if (d == 1) {
-      // Delivery hop: peers at distance 0 qualify, and those include hosts
-      // attached to the target (a multi-homed host may only terminate a
-      // path by delivering onto the target LAN itself), so scan the whole
-      // LAN in insertion order exactly like the full-graph BFS would.
-      for (const InterfaceId peer : topology_.subnet(lan_id).interfaces) {
-        if (peer == egress) continue;
-        const NodeId v = topology_.interface(peer).node;
-        if (routes.dist[v] != 0) continue;
-        out.push_back(NextHop{v, egress, peer});
-      }
-    } else {
-      // Transit hop: hosts never forward, so only router peers at d-1 can
-      // carry the path — the per-LAN router slice preserves the LAN's
-      // interface-insertion order, keeping ECMP fan-out order identical.
-      for (const InterfaceId peer : router_interfaces(lan_id)) {
-        if (peer == egress) continue;
-        const NodeId v = topology_.interface(peer).node;
-        if (routes.dist[v] != d - 1) continue;
-        out.push_back(NextHop{v, egress, peer});
-      }
-    }
-  }
+  visit_next_hops(from, *routes_for(target), [&out](const NextHop& hop) {
+    out.push_back(hop);
+    return true;
+  });
   return out;
+}
+
+std::size_t RoutingTable::next_hop_count(NodeId from,
+                                         const Routes& routes) const {
+  std::size_t n = 0;
+  visit_next_hops(from, routes, [&n](const NextHop&) {
+    ++n;
+    return true;
+  });
+  return n;
+}
+
+RoutingTable::NextHop RoutingTable::next_hop_at(NodeId from,
+                                                const Routes& routes,
+                                                std::size_t index) const {
+  NextHop found;
+  visit_next_hops(from, routes, [&](const NextHop& hop) {
+    if (index-- > 0) return true;
+    found = hop;
+    return false;
+  });
+  return found;
 }
 
 InterfaceId RoutingTable::shortest_path_egress(NodeId from,
@@ -65,96 +152,97 @@ InterfaceId RoutingTable::shortest_path_egress(NodeId from,
   if (const auto local = topology_.interface_on(from, toward_subnet))
     return *local;
   InterfaceId best = kInvalidId;
-  for (const NextHop& hop : next_hops(from, toward_subnet)) {
+  visit_next_hops(from, *routes_for(toward_subnet), [&](const NextHop& hop) {
     if (best == kInvalidId ||
         topology_.interface(hop.egress).addr < topology_.interface(best).addr)
       best = hop.egress;
-  }
+    return true;
+  });
   return best;
 }
 
-const std::vector<InterfaceId>& RoutingTable::router_interfaces(
-    SubnetId lan) const {
-  // The slice table is rebuilt under the cache lock whenever the topology
-  // version moves (see routes_for); between rebuilds it is read-only, so
-  // this lock-free read is safe under the same no-concurrent-mutation
-  // contract the distance cache already imposes.
-  return router_ifaces_[lan];
-}
-
-void RoutingTable::rebuild_router_interfaces_locked() const {
-  router_ifaces_.assign(topology_.subnet_count(), {});
-  for (SubnetId lan = 0; lan < topology_.subnet_count(); ++lan)
-    for (const InterfaceId iface : topology_.subnet(lan).interfaces)
-      if (!topology_.node(topology_.interface(iface).node).is_host)
-        router_ifaces_[lan].push_back(iface);
-}
-
-const RoutingTable::Routes& RoutingTable::routes_for(SubnetId target) const {
+RoutingTable::RoutesHandle RoutingTable::routes_for(SubnetId target) const {
+  std::shared_ptr<const RouterIndex> index;
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     if (cached_version_ != topology_.version()) {
       lru_.clear();
-      index_.clear();
-      rebuild_router_interfaces_locked();
+      by_subnet_.clear();
+      router_index_ = build_index();
       cached_version_ = topology_.version();
-    } else if (const auto hit = index_.find(target); hit != index_.end()) {
+    } else if (const auto hit = by_subnet_.find(target);
+               hit != by_subnet_.end()) {
       lru_.splice(lru_.begin(), lru_, hit->second);  // refresh recency
       return hit->second->second;
     }
+    index = router_index_;
   }
 
   // Miss: compute outside the lock (racing threads may duplicate the work;
   // the first insert wins and the copies agree, BFS being pure).
-  Routes routes = compute_routes(target);
+  RoutesHandle routes = compute_routes(target, std::move(index));
 
   const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (const auto hit = index_.find(target); hit != index_.end())
+  if (const auto hit = by_subnet_.find(target); hit != by_subnet_.end())
     return hit->second->second;
-  lru_.emplace_front(target, std::move(routes));
-  index_[target] = lru_.begin();
+  lru_.emplace_front(target, routes);
+  by_subnet_[target] = lru_.begin();
   if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+    by_subnet_.erase(lru_.back().first);
     lru_.pop_back();
   }
-  return lru_.front().second;
+  return routes;
 }
 
-RoutingTable::Routes RoutingTable::compute_routes(SubnetId target) const {
-  // Reverse BFS from the target subnet over the bipartite node <-> LAN
-  // structure, restricted to nodes that can make forward progress: routers,
-  // plus attached hosts (distance 0, which may deliver onto the target LAN
-  // from their other interfaces). Hosts beyond the target never forward —
-  // the full-graph BFS assigned them first-touch distances only for
-  // queries, and lan_dist reproduces those lazily (resolved_distance).
-  Routes routes;
-  routes.dist.assign(topology_.node_count(), kUnreachable);
-  routes.lan_dist.assign(topology_.subnet_count(), kUnreachable);
-  std::deque<NodeId> queue;
-  for (const InterfaceId iface : topology_.subnet(target).interfaces) {
-    const NodeId node = topology_.interface(iface).node;
-    if (routes.dist[node] != 0) {
-      routes.dist[node] = 0;
-      queue.push_back(node);
-    }
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    // Only dist-0 hosts ever enter the queue, so the "hosts do not relay
-    // transit traffic" guard of the full-graph BFS is implicit here.
-    for (const InterfaceId egress : topology_.node(u).interfaces) {
-      const SubnetId lan_id = topology_.interface(egress).subnet;
-      if (routes.lan_dist[lan_id] != kUnreachable) continue;
-      routes.lan_dist[lan_id] = routes.dist[u] + 1;
-      for (const InterfaceId peer : router_interfaces(lan_id)) {
-        const NodeId v = topology_.interface(peer).node;
-        if (routes.dist[v] == kUnreachable) {
-          routes.dist[v] = routes.dist[u] + 1;
-          queue.push_back(v);
-        }
+RoutingTable::RoutesHandle RoutingTable::compute_routes(
+    SubnetId target, std::shared_ptr<const RouterIndex> index) const {
+  // Reverse BFS from the target subnet over the router index. The nodes that
+  // make forward progress are routers plus the multi-homed hosts attached to
+  // the target (distance 0, which may deliver onto the target LAN from their
+  // other interfaces). Hosts beyond the target never forward — the
+  // full-graph BFS assigned them first-touch distances only for queries,
+  // and lan_dist reproduces those lazily (see distance()).
+  const RouterIndex& graph = *index;
+  auto routes = std::make_shared<Routes>();
+  routes->index = std::move(index);
+  routes->target = target;
+  routes->router_dist.assign(graph.routers, kNoRoute);
+  routes->lan_dist.assign(topology_.subnet_count(), kNoRoute);
+  std::vector<std::uint8_t>& dist = routes->router_dist;
+
+  // FIFO over router indices; each router is queued at most once.
+  std::vector<std::uint32_t> queue;
+  queue.reserve(graph.routers);
+  const auto relax = [&](SubnetId lan, std::uint8_t via) {
+    if (routes->lan_dist[lan] != kNoRoute) return;
+    routes->lan_dist[lan] = via;
+    for (const std::uint32_t router : graph.lan_routers[lan]) {
+      if (dist[router] == kNoRoute) {
+        dist[router] = via;
+        queue.push_back(router);
       }
     }
+  };
+
+  // Distance 0: the target's routers, then its multi-homed hosts relaxing
+  // their other LANs (as if popped first; BFS levels do not depend on the
+  // order within one level).
+  for (const std::uint32_t router : graph.lan_routers[target]) {
+    dist[router] = 0;
+    queue.push_back(router);
+  }
+  for (const RouterIndex::Relay& relay : graph.lan_relays[target])
+    if (relay.router == RouterIndex::kHost)
+      for (const InterfaceId iface : topology_.node(relay.node).interfaces)
+        relax(topology_.interface(iface).subnet, 1);
+
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint8_t d = dist[queue[head]];
+    // Neighbors of a router at kMaxDistance would sit past the last
+    // representable hop count: leave them unreachable.
+    if (d >= kMaxDistance) continue;
+    for (const SubnetId lan : graph.router_lans[queue[head]])
+      relax(lan, static_cast<std::uint8_t>(d + 1));
   }
   return routes;
 }

@@ -1,5 +1,6 @@
 #include "sim/topology.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace tn::sim {
@@ -46,6 +47,7 @@ SubnetId Topology::add_subnet(net::Prefix prefix) {
   subnet.prefix = prefix;
   subnets_.push_back(std::move(subnet));
   prefix_to_subnet_.emplace(prefix, id);
+  prefix_lengths_ |= std::uint64_t{1} << prefix.length();
   ++version_;
   return id;
 }
@@ -116,9 +118,11 @@ std::optional<InterfaceId> Topology::find_interface(
 
 std::optional<SubnetId> Topology::find_subnet_containing(
     net::Ipv4Addr addr) const noexcept {
-  // Subnets are disjoint, so at most one match exists; scan mask lengths from
-  // most to least specific (33 hash probes worst case).
-  for (int length = 32; length >= 0; --length) {
+  // Subnets are disjoint, so at most one match exists; probe only the mask
+  // lengths some subnet has, from most to least specific.
+  for (std::uint64_t lengths = prefix_lengths_; lengths != 0;) {
+    const int length = std::bit_width(lengths) - 1;
+    lengths &= ~(std::uint64_t{1} << length);
     const auto it = prefix_to_subnet_.find(net::Prefix::covering(addr, length));
     if (it != prefix_to_subnet_.end()) return it->second;
   }

@@ -104,6 +104,9 @@ class Topology {
 
   std::unordered_map<net::Ipv4Addr, InterfaceId> addr_to_interface_;
   std::unordered_map<net::Prefix, SubnetId> prefix_to_subnet_;
+  // Bit L set when some subnet is a /L: the lengths find_subnet_containing
+  // probes.
+  std::uint64_t prefix_lengths_ = 0;
 
   std::uint64_t version_ = 0;
 };

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <thread>
 #include <vector>
 
 #include "probe/cache.h"
 #include "probe/retry.h"
+#include "probe/shared_cache.h"
 #include "probe/sim_engine.h"
 #include "sim/vtime/scheduler.h"
 #include "testutil.h"
@@ -302,6 +305,47 @@ TEST_F(ProbeEngineTest, StackedDecorators) {
   cached.direct(ip("192.168.1.9"));
   EXPECT_EQ(wire.probes_issued(), 2u);  // 2 attempts, once
   EXPECT_EQ(cached.hits(), 1u);
+}
+
+// Holds every caller at a two-party barrier before probing, so two workers
+// that missed the same key are both in flight before either publishes.
+class RendezvousEngine final : public ProbeEngine {
+ public:
+  explicit RendezvousEngine(ProbeEngine& inner) noexcept : inner_(inner) {}
+
+ private:
+  net::ProbeReply do_probe(const net::Probe& request) override {
+    barrier_.arrive_and_wait();
+    return inner_.probe(request);
+  }
+  ProbeEngine& inner_;
+  std::barrier<> barrier_{2};
+};
+
+TEST_F(ProbeEngineTest, SharedCacheCountsRacedMisses) {
+  SimProbeEngine wire(net, f.vantage);
+  RendezvousEngine rendezvous(wire);
+  SharedCachingProbeEngine shared(rendezvous);
+  std::vector<net::ProbeReply> replies(2);
+  std::vector<std::thread> workers;
+  for (std::size_t i = 0; i < replies.size(); ++i)
+    workers.emplace_back([&, i] { replies[i] = shared.direct(f.pivot3); });
+  for (std::thread& worker : workers) worker.join();
+
+  // Both workers missed and sent the probe; the second publish is the race.
+  EXPECT_EQ(shared.misses(), 2u);
+  EXPECT_EQ(shared.raced_misses(), 1u);
+  EXPECT_EQ(shared.hits(), 0u);
+  EXPECT_EQ(wire.probes_issued(), 2u);
+  EXPECT_EQ(replies[0].type, ResponseType::kEchoReply);
+  EXPECT_EQ(replies[1].responder, replies[0].responder);
+
+  // Later lookups hit the published reply and race with nobody.
+  EXPECT_EQ(shared.direct(f.pivot3).type, ResponseType::kEchoReply);
+  EXPECT_EQ(shared.hits(), 1u);
+  EXPECT_EQ(shared.raced_misses(), 1u);
+  shared.clear();
+  EXPECT_EQ(shared.raced_misses(), 0u);
 }
 
 }  // namespace

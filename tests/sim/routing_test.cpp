@@ -1,10 +1,13 @@
 #include "sim/routing.h"
 
 #include <deque>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/network.h"
 #include "testutil.h"
 #include "topo/isp.h"
 #include "topo/reference.h"
@@ -126,6 +129,112 @@ TEST(Routing, CacheInvalidatesOnTopologyChange) {
   EXPECT_EQ(routes.distance(a, leaf), RoutingTable::kUnreachable);
   t.attach(b, s, ip("10.0.0.1"));  // connect the island
   EXPECT_EQ(routes.distance(a, leaf), 1);
+}
+
+TEST(Routing, HopCountsSaturateAtMaxDistance) {
+  // A chain r0 - r1 - ... - r299 with the target hanging off r299: r_i sits
+  // 299 - i hops away. Distances are stored in a byte, so only hop counts up
+  // to kMaxDistance (254) are representable; anything farther is
+  // unreachable, as no TTL could reach it anyway.
+  constexpr int kRouters = 300;
+  Topology t;
+  std::vector<NodeId> chain;
+  for (int i = 0; i < kRouters; ++i)
+    chain.push_back(t.add_router("r" + std::to_string(i)));
+  for (int i = 0; i + 1 < kRouters; ++i) {
+    const net::Ipv4Addr base(0x0A000000U + 2U * static_cast<std::uint32_t>(i));
+    const SubnetId link = t.add_subnet(net::Prefix::covering(base, 31));
+    t.attach(chain[i], link, base);
+    t.attach(chain[i + 1], link, net::Ipv4Addr(base.value() + 1));
+  }
+  const SubnetId target = t.add_subnet(pfx("10.1.0.0/30"));
+  t.attach(chain.back(), target, ip("10.1.0.1"));
+  // Hosts resolve through the LAN they sit on: one hop past their router.
+  const NodeId far_host = t.add_host("far");   // beside r45 (254 hops)
+  const NodeId near_host = t.add_host("near");  // beside r46 (253 hops)
+  const SubnetId far_lan = t.add_subnet(pfx("10.2.0.0/24"));
+  const SubnetId near_lan = t.add_subnet(pfx("10.3.0.0/24"));
+  t.attach(chain[45], far_lan, ip("10.2.0.1"));
+  t.attach(far_host, far_lan, ip("10.2.0.2"));
+  t.attach(chain[46], near_lan, ip("10.3.0.1"));
+  t.attach(near_host, near_lan, ip("10.3.0.2"));
+
+  RoutingTable routes(t);
+  for (int i = 0; i < kRouters; ++i) {
+    const int hops = kRouters - 1 - i;
+    const int d = routes.distance(chain[i], target);
+    if (hops <= RoutingTable::kMaxDistance) {
+      ASSERT_EQ(d, hops) << "r" << i;
+    } else {
+      ASSERT_EQ(d, RoutingTable::kUnreachable) << "r" << i;
+      ASSERT_TRUE(routes.next_hops(chain[i], target).empty()) << "r" << i;
+      continue;
+    }
+    // Every reachable router forwards strictly closer, down the chain.
+    const auto hops_out = routes.next_hops(chain[i], target);
+    if (d == 0) {
+      EXPECT_TRUE(hops_out.empty());
+      continue;
+    }
+    ASSERT_EQ(hops_out.size(), 1u) << "r" << i;
+    EXPECT_EQ(hops_out[0].node, chain[i + 1]);
+    EXPECT_EQ(routes.distance(hops_out[0].node, target), d - 1);
+  }
+  EXPECT_EQ(routes.distance(far_host, target), RoutingTable::kUnreachable);
+  EXPECT_EQ(routes.distance(near_host, target), RoutingTable::kMaxDistance);
+}
+
+TEST(Routing, SmallCacheConcurrentWalksMatchSerial) {
+  // A route cache of one or two tables evicts on nearly every lookup while
+  // four workers walk probes toward different subnets. Walks hold shared
+  // route handles, so eviction must never change a reply.
+  topo::SimulatedInternet inet =
+      topo::build_internet(topo::default_isp_profiles(), 7);
+  // Make every reply a pure function of the probe: no flakiness draws or
+  // round-robin cursors keyed on the injection order.
+  for (InterfaceId i = 0; i < inet.topo.interface_count(); ++i)
+    inet.topo.interface_mut(i).flakiness = 0.0;
+  for (NodeId n = 0; n < inet.topo.node_count(); ++n)
+    inet.topo.set_per_packet_load_balancing(n, false);
+
+  struct Send {
+    NodeId origin;
+    net::Probe probe;
+  };
+  std::vector<Send> sends;
+  const std::vector<net::Ipv4Addr> targets = inet.all_targets();
+  for (std::size_t i = 0; i < targets.size(); i += 7) {
+    for (const std::uint8_t ttl : {1, 2, 3, 4, 5, 6, 8, 10, 12, 64}) {
+      net::Probe p;
+      p.target = targets[i];
+      p.ttl = ttl;
+      p.flow_id = static_cast<std::uint16_t>(i % 3);
+      sends.push_back({inet.vantages[i % inet.vantages.size()], p});
+    }
+  }
+
+  Network serial(inet.topo);
+  std::vector<net::ProbeReply> want;
+  for (const Send& s : sends) want.push_back(serial.send_probe(s.origin, s.probe));
+
+  for (const std::size_t capacity : {1, 2}) {
+    Network net(inet.topo, {}, capacity);
+    std::vector<net::ProbeReply> got(sends.size());
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < kThreads; ++w) {
+      workers.emplace_back([&, w] {
+        for (std::size_t i = w; i < sends.size(); i += kThreads)
+          got[i] = net.send_probe(sends[i].origin, sends[i].probe);
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      ASSERT_EQ(got[i].type, want[i].type) << "capacity " << capacity << " probe " << i;
+      ASSERT_EQ(got[i].responder, want[i].responder)
+          << "capacity " << capacity << " probe " << i;
+    }
+  }
 }
 
 // Reference implementation for the equivalence pins below: the original

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <vector>
+
 #include "testutil.h"
+#include "topo/serialize.h"
 
 namespace tn::sim {
 namespace {
@@ -68,6 +73,46 @@ TEST(Topology, FindSubnetContainingUsesLongestMatch) {
   EXPECT_EQ(t.find_subnet_containing(ip("10.0.0.2")), s30);
   EXPECT_EQ(t.find_subnet_containing(ip("10.1.0.200")), s24);
   EXPECT_FALSE(t.find_subnet_containing(ip("10.2.0.1")));
+}
+
+TEST(Topology, FindSubnetContainingMatchesLinearScanOnMixedLengths) {
+  Topology t;
+  const NodeId r = t.add_router("r");
+  for (const char* prefix : {"10.0.0.0/8", "172.16.0.0/20", "192.168.1.0/24",
+                             "192.168.2.0/30", "192.168.2.4/31",
+                             "192.168.2.8/32"}) {
+    const net::Prefix p = pfx(prefix);
+    const std::uint32_t host = p.length() >= 31 ? 0 : 1;  // skip network addr
+    t.attach(r, t.add_subnet(p), net::Ipv4Addr(p.network().value() + host));
+  }
+  const std::vector<net::Ipv4Addr> probes = {
+      ip("10.200.3.4"),  ip("172.16.15.255"), ip("172.16.16.0"),
+      ip("192.168.1.77"), ip("192.168.2.3"),  ip("192.168.2.5"),
+      ip("192.168.2.6"),  ip("192.168.2.8"),  ip("192.168.2.9"),
+      ip("11.0.0.1"),     ip("0.0.0.0"),      ip("255.255.255.255")};
+  // The reference: the one subnet whose prefix holds the address, if any.
+  const auto linear_scan = [](const Topology& topo, net::Ipv4Addr addr) {
+    std::optional<net::Prefix> found;
+    for (SubnetId s = 0; s < topo.subnet_count(); ++s)
+      if (topo.subnet(s).prefix.contains(addr)) found = topo.subnet(s).prefix;
+    return found;
+  };
+  const auto lookup = [](const Topology& topo, net::Ipv4Addr addr) {
+    std::optional<net::Prefix> found;
+    if (const auto s = topo.find_subnet_containing(addr))
+      found = topo.subnet(*s).prefix;
+    return found;
+  };
+  std::stringstream buffer;
+  topo::write_topology(buffer, t);
+  const topo::LoadedTopology loaded = topo::read_topology(buffer);
+  for (const net::Ipv4Addr addr : probes) {
+    EXPECT_EQ(lookup(t, addr), linear_scan(t, addr)) << addr;
+    EXPECT_EQ(lookup(loaded.topo, addr), linear_scan(t, addr)) << addr;
+  }
+  EXPECT_FALSE(t.find_subnet_containing(ip("11.0.0.1")));
+  EXPECT_EQ(lookup(t, ip("192.168.2.8")), pfx("192.168.2.8/32"));
+  EXPECT_EQ(lookup(t, ip("172.16.15.255")), pfx("172.16.0.0/20"));
 }
 
 TEST(Topology, ResponseConfigValidation) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: the full test suite once normally, then the concurrent
-# runtime tests again under ThreadSanitizer (-DTN_SANITIZE=thread), then the
-# full suite under AddressSanitizer + UBSan (-DTN_SANITIZE=address,undefined).
+# runtime and routing tests again under ThreadSanitizer
+# (-DTN_SANITIZE=thread), then the full suite under AddressSanitizer + UBSan
+# (-DTN_SANITIZE=address,undefined).
 # Run from anywhere; builds into build/, build-tsan/ and build-asan/ at the
 # repo root.
 set -eu
@@ -14,11 +15,11 @@ cmake -B "$repo/build" -S "$repo"
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
-echo "== tsan: runtime tests under ThreadSanitizer =="
+echo "== tsan: runtime and routing tests under ThreadSanitizer =="
 cmake -B "$repo/build-tsan" -S "$repo" -DTN_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test
+cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test sim_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R 'Metrics|Pacer|SharedStopSet|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler'
+  -R 'Metrics|Pacer|SharedStopSet|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler|Routing'
 
 echo "== asan+ubsan: full suite under AddressSanitizer + UBSan =="
 cmake -B "$repo/build-asan" -S "$repo" -DTN_SANITIZE=address,undefined
